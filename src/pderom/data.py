@@ -16,13 +16,15 @@ byte.
 from __future__ import annotations
 
 import json
+import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .networks import DecoderConfig, DynamicsConfig
-from .solvers import Grid, SolverSpec, rollout
+from .solvers import Grid, SolverError, SolverSpec, rollout
 from .training import Model, TrainingConfig
 
 __all__ = [
@@ -135,17 +137,15 @@ def gen_diffusion(n_traj: int, seed: int, n_test: int = 32, n_val: int = 16) -> 
     spec = diffusion_spec()
     rng = np.random.default_rng(seed)
     t_test = 200
-
-    def make() -> Trajectory:
-        u0 = _gaussian_blob(spec.grid, rng)
-        traj = rollout(spec, u0, n_steps=t_test, save_every=1)
-        return Trajectory(traj.reshape(t_test + 1, -1, 1), np.empty(0))
-
-    train = [make() for _ in range(n_traj)]
-    test = [make() for _ in range(n_test)]
-    val = [make() for _ in range(n_val)]
+    # every blob is drawn in split order (train, test, val), then all of
+    # them roll out as one batch
+    u0 = np.stack([_gaussian_blob(spec.grid, rng) for _ in range(n_traj + n_test + n_val)])
+    traj = rollout(spec, u0, n_steps=t_test, save_every=1)
+    trajs = [Trajectory(traj[:, b].reshape(t_test + 1, -1, 1), np.empty(0))
+             for b in range(len(u0))]
     return Dataset(spec, spec.dt, t_train=25, t_test=t_test, seed=seed,
-                   train=train, test=test, val=val)
+                   train=trajs[:n_traj], test=trajs[n_traj:n_traj + n_test],
+                   val=trajs[n_traj + n_test:])
 
 
 def gen_burgers(seed: int = 0) -> Dataset:
@@ -158,17 +158,15 @@ def gen_burgers(seed: int = 0) -> Dataset:
     spec = burgers_spec()
     save_every = 8
     t_test = 200
-    w0 = np.ones(spec.grid.shape[0])
-
-    def make(mu: float) -> Trajectory:
-        traj = rollout(spec, w0, n_steps=t_test * save_every,
-                       save_every=save_every, beta=mu)
-        return Trajectory(traj.reshape(t_test + 1, -1, 1), np.array([mu]))
-
-    train = [make(mu) for mu in BURGERS_TRAIN_MU]
-    test = [make(mu) for mu in BURGERS_TEST_MU]
+    mus = BURGERS_TRAIN_MU + BURGERS_TEST_MU
+    w0 = np.ones((len(mus), spec.grid.shape[0]))
+    traj = rollout(spec, w0, n_steps=t_test * save_every, save_every=save_every,
+                   beta=np.array(mus)[:, None])
+    trajs = [Trajectory(traj[:, b].reshape(t_test + 1, -1, 1), np.array([mu]))
+             for b, mu in enumerate(mus)]
+    n_train = len(BURGERS_TRAIN_MU)
     return Dataset(spec, spec.dt * save_every, t_train=100, t_test=t_test,
-                   seed=seed, train=train, test=test)
+                   seed=seed, train=trajs[:n_train], test=trajs[n_train:])
 
 
 def subsample_grid(dataset: Dataset, fraction: float, seed: int):
@@ -208,16 +206,16 @@ def _write_container(path, header: dict, arrays: dict) -> None:
     offset = 0
     blobs = []
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])
         code = {"float64": "<f8", "int64": "<i8"}.get(arr.dtype.name)
         if code is None:
             raise ValueError(f"unsupported dtype {arr.dtype} for array {name!r}")
-        raw = arr.astype(code).tobytes()
         manifest.append(
             {"name": name, "shape": list(arr.shape), "dtype": code, "offset": offset}
         )
-        blobs.append(raw)
-        offset += len(raw)
+        # written straight from the array's buffer; copies only when not C-ordered
+        blobs.append(np.ascontiguousarray(arr, dtype=code))
+        offset += arr.nbytes
     header = dict(header, arrays=manifest)
     payload = _canonical(header)
     with open(path, "wb") as fh:
@@ -229,36 +227,66 @@ def _write_container(path, header: dict, arrays: dict) -> None:
             fh.write(raw)
 
 
-def _read_container(path) -> tuple[dict, dict]:
-    blob = Path(path).read_bytes()
-    if blob[:8] != MAGIC:
-        raise FormatError(
-            f"bad magic {blob[:8]!r}; expected {MAGIC!r} (not a pderom container)"
-        )
-    version = int(np.frombuffer(blob[8:12], dtype="<u4")[0])
-    if version != VERSION:
-        raise FormatError(f"unsupported format version {version}; expected {VERSION}")
-    hlen = int(np.frombuffer(blob[12:20], dtype="<u8")[0])
-    header = json.loads(blob[20:20 + hlen].decode("utf-8"))
-    data_start = 20 + hlen
-    arrays = {}
-    expected_end = data_start
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        start = data_start + entry["offset"]
-        end = start + nbytes
-        expected_end = max(expected_end, end)
-        if end > len(blob):
+def _read_container(path, kind: str) -> tuple[dict, dict]:
+    """Header and arrays of a container holding ``kind``.
+
+    Anything but a well-formed container raises :class:`FormatError`:
+    a short or truncated file, a corrupt header or manifest, arrays that
+    are not laid out back to back, or bytes after the last array.  The
+    array bytes carry no checksum, so a flipped bit there goes unseen.
+    Each array is read straight into its own buffer.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(20)
+        if prefix[:8] != MAGIC:
             raise FormatError(
-                f"truncated file: array {entry['name']!r} needs bytes up to "
-                f"{end}, file has {len(blob)}"
+                f"bad magic {prefix[:8]!r}; expected {MAGIC!r} (not a pderom container)"
             )
-        arrays[entry["name"]] = np.frombuffer(
-            blob[start:end], dtype=entry["dtype"]
-        ).reshape(shape).copy()
+        if len(prefix) < 20:
+            raise FormatError(f"truncated file: {size} bytes, the fixed prefix needs 20")
+        version = int(np.frombuffer(prefix[8:12], dtype="<u4")[0])
+        if version != VERSION:
+            raise FormatError(f"unsupported format version {version}; expected {VERSION}")
+        end = 20 + int(np.frombuffer(prefix[12:20], dtype="<u8")[0])
+        if end > size:
+            raise FormatError(f"truncated file: header needs bytes up to {end}, file has {size}")
+        try:
+            header = json.loads(fh.read(end - 20))
+            manifest = [(e["name"], tuple(e["shape"]), e["dtype"], e["offset"])
+                        for e in header["arrays"]]
+        except (ValueError, KeyError, TypeError) as err:
+            raise FormatError(f"corrupt header: {err}") from err
+        if header.get("kind") != kind:
+            raise FormatError(f"container holds {header.get('kind')!r}, not a {kind}")
+        data_start = end
+        arrays = {}
+        for name, shape, code, offset in manifest:
+            if (not isinstance(name, str) or name in arrays or code not in ("<f8", "<i8")
+                    or not all(type(n) is int and n >= 0 for n in shape)
+                    or offset != end - data_start):
+                raise FormatError(f"corrupt manifest entry for array {name!r}")
+            end += math.prod(shape) * 8
+            if end > size:
+                raise FormatError(
+                    f"truncated file: array {name!r} needs bytes up to {end}, file has {size}"
+                )
+            arr = np.empty(shape, dtype=code)
+            if fh.readinto(arr) != arr.nbytes:
+                raise FormatError(f"truncated file: array {name!r} ends early")
+            arrays[name] = arr
+    if end != size:
+        raise FormatError(f"{size - end} unexpected bytes after the last array")
     return header, arrays
+
+
+@contextmanager
+def _malformed(kind: str):
+    """Report a missing or invalid header field or array as :class:`FormatError`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, SolverError) as err:
+        raise FormatError(f"malformed {kind} container: {err!r}") from err
 
 
 def _spec_to_dict(spec: SolverSpec) -> dict:
@@ -301,28 +329,27 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    header, arrays = _read_container(path)
-    if header.get("kind") != "dataset":
-        raise FormatError(f"container holds {header.get('kind')!r}, not a dataset")
-    splits = {}
-    for split in ("train", "test", "val"):
-        items = []
-        for i in range(header["splits"][split]):
-            items.append(Trajectory(
-                snapshots=arrays[f"{split}.{i:04d}.snapshots"],
-                beta=arrays[f"{split}.{i:04d}.beta"],
-            ))
-        splits[split] = items
-    obs = arrays.get("obs_indices")
-    return Dataset(
-        spec=_spec_from_dict(header["spec"]),
-        snapshot_dt=header["snapshot_dt"],
-        t_train=header["t_train"],
-        t_test=header["t_test"],
-        seed=header["seed"],
-        train=splits["train"], test=splits["test"], val=splits["val"],
-        obs_indices=obs, sparse_fraction=header.get("sparse_fraction"),
-    )
+    header, arrays = _read_container(path, "dataset")
+    with _malformed("dataset"):
+        splits = {}
+        for split in ("train", "test", "val"):
+            items = []
+            for i in range(header["splits"][split]):
+                items.append(Trajectory(
+                    snapshots=arrays[f"{split}.{i:04d}.snapshots"],
+                    beta=arrays[f"{split}.{i:04d}.beta"],
+                ))
+            splits[split] = items
+        obs = arrays.get("obs_indices")
+        return Dataset(
+            spec=_spec_from_dict(header["spec"]),
+            snapshot_dt=header["snapshot_dt"],
+            t_train=header["t_train"],
+            t_test=header["t_test"],
+            seed=header["seed"],
+            train=splits["train"], test=splits["test"], val=splits["val"],
+            obs_indices=obs, sparse_fraction=header.get("sparse_fraction"),
+        )
 
 
 def save_model(model: Model, path) -> None:
@@ -358,25 +385,24 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    header, arrays = _read_container(path)
-    if header.get("kind") != "model":
-        raise FormatError(f"container holds {header.get('kind')!r}, not a model")
-    d = header["decoder_config"]
-    dec_config = DecoderConfig(
-        architecture=d["architecture"], latent_dim=d["latent_dim"],
-        layers=d["layers"], width=d["width"], coord_dim=d["coord_dim"],
-        out_channels=d["out_channels"], omega0=d["omega0"],
-        coord_lo=tuple(d["coord_lo"]), coord_hi=tuple(d["coord_hi"]),
-    )
-    dyn_config = DynamicsConfig(**header["dynamics_config"])
-    return Model(
-        decoder_config=dec_config,
-        decoder_params={k[4:]: v for k, v in arrays.items() if k.startswith("dec.")},
-        dynamics_config=dyn_config,
-        dynamics_params={k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")},
-        latents=arrays["latents"],
-        spec=_spec_from_dict(header["spec"]),
-        snapshot_dt=header["snapshot_dt"],
-        training_config=TrainingConfig(**header["training_config"]),
-        history={k[8:]: v for k, v in arrays.items() if k.startswith("history.")},
-    )
+    header, arrays = _read_container(path, "model")
+    with _malformed("model"):
+        d = header["decoder_config"]
+        dec_config = DecoderConfig(
+            architecture=d["architecture"], latent_dim=d["latent_dim"],
+            layers=d["layers"], width=d["width"], coord_dim=d["coord_dim"],
+            out_channels=d["out_channels"], omega0=d["omega0"],
+            coord_lo=tuple(d["coord_lo"]), coord_hi=tuple(d["coord_hi"]),
+        )
+        dyn_config = DynamicsConfig(**header["dynamics_config"])
+        return Model(
+            decoder_config=dec_config,
+            decoder_params={k[4:]: v for k, v in arrays.items() if k.startswith("dec.")},
+            dynamics_config=dyn_config,
+            dynamics_params={k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")},
+            latents=arrays["latents"],
+            spec=_spec_from_dict(header["spec"]),
+            snapshot_dt=header["snapshot_dt"],
+            training_config=TrainingConfig(**header["training_config"]),
+            history={k[8:]: v for k, v in arrays.items() if k.startswith("history.")},
+        )

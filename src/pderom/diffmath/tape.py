@@ -181,9 +181,10 @@ def parameter(x) -> Tensor:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    # Summation is cheaper than isfinite().all() and catches both NaN and
-    # +/-inf for the magnitudes this package works at.
-    if not math.isfinite(float(data.sum())):
+    # Summation is cheaper than isfinite().all() and is non-finite whenever
+    # the data holds a NaN or an infinity; a sum that overflows on finite
+    # data is confirmed element by element before raising.
+    if not math.isfinite(float(data.sum())) and not np.isfinite(data).all():
         raise NonFiniteError(op)
 
 

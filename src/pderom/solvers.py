@@ -23,6 +23,7 @@ need it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,11 +57,13 @@ class StabilityError(SolverError):
 class CFLError(SolverError):
     """Advective CFL condition violated by the current state."""
 
-    def __init__(self, cfl: float, max_w: float):
+    def __init__(self, cfl: float, max_w: float, rows=()):
+        where = f" in batch rows {list(rows)}" if rows else ""
         super().__init__(
-            f"CFL violation: dt * max|w| / h = {cfl:.3f} > 1 (max|w| = {max_w:.4g})"
+            f"CFL violation: dt * max|w| / h = {cfl:.3f} > 1 (max|w| = {max_w:.4g}){where}"
         )
         self.max_w = max_w
+        self.rows = list(rows)  # flat indices over the leading batch axes
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,21 @@ class Grid:
             (hi - lo) / (n - 1) for lo, hi, n in zip(self.lo, self.hi, self.shape)
         )
 
-    def coords(self) -> np.ndarray:
-        """All grid coordinates, row-major over the field axes: (N, d)."""
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        # built once per grid and read-only: the steppers use it directly
         axes = [
             np.linspace(lo, hi, n)
             for lo, hi, n in zip(self.lo, self.hi, self.shape)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
+        coords.flags.writeable = False
+        return coords
+
+    def coords(self) -> np.ndarray:
+        """All grid coordinates, row-major over the field axes: (N, d)."""
+        return self._coords.copy()
 
 
 @dataclass(frozen=True)
@@ -161,9 +171,11 @@ def _shift2d(u, dy: int, dx: int):
     return dm.slice_(padded, key)
 
 
-def _interior_mask(shape) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _interior_mask(shape: tuple) -> np.ndarray:
     mask = np.zeros(shape)
     mask[1:-1, 1:-1] = 1.0
+    mask.flags.writeable = False
     return mask
 
 
@@ -197,9 +209,8 @@ def diffusion_step(u, kappa: float, dt: float, grid: Grid) -> Tensor:
 def _godunov_flux(left, right):
     # convex flux f(w) = w^2/2 with minimum at 0:
     # F = max( f(max(left, 0)), f(min(right, 0)) )
-    zero = constant(np.zeros(()))
-    fl = dm.pow_const(dm.maximum(left, zero), 2.0)
-    fr = dm.pow_const(dm.minimum(right, zero), 2.0)
+    fl = dm.pow_const(dm.maximum(left, 0.0), 2.0)
+    fr = dm.pow_const(dm.minimum(right, 0.0), 2.0)
     return dm.mul(dm.maximum(fl, fr), 0.5)
 
 
@@ -218,10 +229,10 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
     h = grid.spacing[0]
     max_w = float(np.abs(w.data).max())
     cfl = dt * max_w / h
-    if cfl > 1.0:
-        raise CFLError(cfl, max_w)
-
     lead = w.shape[:-1]
+    if cfl > 1.0:
+        row_cfl = dt * np.abs(w.data).max(axis=-1) / h
+        raise CFLError(cfl, max_w, np.flatnonzero(row_cfl > 1.0).tolist() if lead else [])
     inflow = constant(np.broadcast_to(BURGERS_INFLOW, (*lead, 1)))
     left = dm.concat([inflow, w], axis=-1)
     right = dm.concat([w, dm.slice_(w, (slice(None),) * len(lead) + (slice(n - 1, n),))], axis=-1)
@@ -231,19 +242,29 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
         dm.slice_(flux, (slice(None),) * len(lead) + (slice(0, n),)),
     )
 
-    x = grid.coords().reshape(-1)
+    x = grid._coords.reshape(-1)
     mu_t = as_tensor(mu)
     if mu_t.ndim > 0 and mu_t.shape[-1] != 1:
         raise SolverError("mu must be a scalar or have a trailing axis of size 1")
     source = dm.mul(dm.exp(dm.mul(mu_t, constant(x))), BURGERS_SOURCE_SCALE * dt)
     updated = dm.add(dm.sub(w, dm.mul(df, dt / h)), source)
 
-    # inflow cell is pinned: output w[0] = 1 regardless of the input state
+    keep, pin = _inflow_pin(n)
+    return dm.add(dm.mul(updated, constant(keep)), constant(pin))
+
+
+@lru_cache(maxsize=16)
+def _inflow_pin(n: int) -> tuple:
+    """Read-only ``keep``/``pin`` vectors that hold the inflow cell at w = 1.
+
+    ``w * keep + pin`` sets output w[0] = 1 regardless of the input state.
+    """
     keep = np.ones(n)
     keep[0] = 0.0
     pin = np.zeros(n)
     pin[0] = BURGERS_INFLOW
-    return dm.add(dm.mul(updated, constant(keep)), constant(pin))
+    keep.flags.writeable = pin.flags.writeable = False
+    return keep, pin
 
 
 def time_derivative(spec: SolverSpec, u, beta=None) -> Tensor:
@@ -263,12 +284,28 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
             beta=None) -> np.ndarray:
     """Integrate an initial state, saving every ``save_every`` steps.
 
-    Returns an array of saved states including t = 0.  Raises the
-    underlying solver error (with the step index) if a step fails.
+    ``u0`` may carry leading batch axes in front of the grid axes, with
+    ``beta`` broadcastable to them (shape (B, 1) for a Burgers batch of
+    B source exponents).  Every row advances in the same solver call and
+    rows never mix, so a batched rollout is bitwise equal to rolling each
+    row out on its own.
+
+    Returns the saved states including t = 0, shape
+    ``(n_saves, *u0.shape)``.  Each row's history ``out[:, b]`` is one
+    contiguous block, so splitting a batch into trajectories copies
+    nothing.  Raises the underlying solver error (with the step index,
+    and for a CFL violation the offending batch rows) if a step fails.
     """
     if n_steps < 0 or save_every < 1:
         raise ValueError("need n_steps >= 0 and save_every >= 1")
-    saves = [np.array(u0, dtype=np.float64)]
+    u0 = np.array(u0, dtype=np.float64)
+    lead = u0.ndim - spec.grid.ndim
+    if lead < 0:
+        raise SolverError(f"state shape {u0.shape} has fewer axes than grid {spec.grid.shape}")
+    n_saves = n_steps // save_every + 1
+    buf = np.empty(u0.shape[:lead] + (n_saves,) + u0.shape[lead:])
+    saves = np.moveaxis(buf, lead, 0)
+    saves[0] = u0
     with no_grad():
         u = constant(u0)
         for step_index in range(1, n_steps + 1):
@@ -277,5 +314,5 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
             except SolverError as err:
                 raise SolverError(f"step {step_index}: {err}") from err
             if step_index % save_every == 0:
-                saves.append(u.data.copy())
-    return np.stack(saves)
+                saves[step_index // save_every] = u.data
+    return saves

@@ -61,6 +61,18 @@ class TestGrad:
         with pytest.raises(dm.NonFiniteError, match="log"):
             dm.grad(loss, {"x": dm.constant([1.0, -1.0])})
 
+    def test_finite_values_with_overflowing_sum_pass(self):
+        # the cheap sum check overflows to inf here; the data is finite
+        with np.errstate(over="ignore"):
+            out = dm.add([1e308, 1e308], [0.0, 0.0])
+        np.testing.assert_array_equal(out.data, [1e308, 1e308])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_next_to_huge_values_raises(self, bad):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(dm.NonFiniteError, match="add"):
+                dm.add([1e308, 1e308, bad], [0.0, 0.0, 0.0])
+
 
 class TestStopGradient:
     def test_product_rule_with_frozen_factor(self):

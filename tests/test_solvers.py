@@ -242,6 +242,26 @@ class TestRollout:
         with pytest.raises(SolverError, match=r"step \d+"):
             rollout(spec, np.full(64, 2.0), n_steps=400)
 
+    def test_batched_error_names_step_and_row(self):
+        g = Grid((0.0,), (100.0,), (64,))
+        spec = SolverSpec("burgers1d", g, dt=0.5, params={})
+        w0 = np.stack([np.ones(64), np.full(64, 3.0)])  # only row 1 breaks CFL
+        with pytest.raises(SolverError, match=r"step 19: .* in batch rows \[1\]") as err:
+            rollout(spec, w0, n_steps=50, beta=np.zeros((2, 1)))
+        assert err.value.__cause__.rows == [1]
+        with pytest.raises(SolverError, match=r"step 19: ") as alone:
+            rollout(spec, w0[1], n_steps=50, beta=0.0)
+        assert "batch rows" not in str(alone.value)
+        rollout(spec, w0[0], n_steps=50, beta=0.0)
+
+    def test_batched_rows_equal_separate_rollouts(self):
+        u0 = np.stack([gaussian_blob(DIFF_GRID, s, a) for s, a in ((3.0, 1.0), (5.0, 2.0))])
+        batch = rollout(DIFF_SPEC, u0, n_steps=6, save_every=2)
+        assert batch.shape == (4, 2, 42, 42)
+        for b in range(2):
+            assert batch[:, b].flags.c_contiguous
+            np.testing.assert_array_equal(batch[:, b], rollout(DIFF_SPEC, u0[b], 6, 2))
+
 
 class TestGrid:
     def test_coords_row_major(self):
@@ -250,6 +270,12 @@ class TestGrid:
             [[0, 10], [0, 11], [0, 12], [1, 10], [1, 11], [1, 12]], dtype=float
         )
         np.testing.assert_allclose(g.coords(), expected)
+
+    def test_coords_are_a_fresh_copy(self):
+        g = Grid(lo=(0.0,), hi=(1.0,), shape=(3,))
+        c = g.coords()
+        c[:] = 7.0
+        np.testing.assert_array_equal(g.coords(), [[0.0], [0.5], [1.0]])
 
     def test_spacing(self):
         assert BURG_GRID.spacing[0] == pytest.approx(100.0 / 255.0)
