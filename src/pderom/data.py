@@ -19,7 +19,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .training import Model, TrainingConfig
 __all__ = [
     "Trajectory",
     "Dataset",
-    "SparseGrid",
     "FormatError",
     "gen_diffusion",
     "gen_burgers",
@@ -67,14 +66,6 @@ class Trajectory:
     def __post_init__(self):
         if self.snapshots.ndim != 3:
             raise ValueError("snapshots must be (T+1, N, m)")
-
-
-@dataclass(frozen=True)
-class SparseGrid:
-    """Fixed observation subset shared by all snapshots of a dataset."""
-
-    indices: np.ndarray
-    fraction: float
 
 
 @dataclass
@@ -174,7 +165,8 @@ def subsample_grid(dataset: Dataset, fraction: float, seed: int):
 
     One uniform without-replacement draw applies to every snapshot of
     every trajectory; full-grid labels stay in the dataset for
-    evaluation.  Returns the restricted dataset and the subset.
+    evaluation.  Returns ``(dataset, indices)``: the restricted dataset
+    (``obs_indices`` and ``sparse_fraction`` set) and its grid indices.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
@@ -183,14 +175,13 @@ def subsample_grid(dataset: Dataset, fraction: float, seed: int):
     if size < 1:
         raise ValueError(f"fraction {fraction} keeps no grid points")
     indices = np.random.default_rng(seed).choice(n, size=size, replace=False)
-    sparse = SparseGrid(indices=indices, fraction=fraction)
     restricted = Dataset(
         spec=dataset.spec, snapshot_dt=dataset.snapshot_dt,
         t_train=dataset.t_train, t_test=dataset.t_test, seed=dataset.seed,
         train=dataset.train, test=dataset.test, val=dataset.val,
         obs_indices=indices, sparse_fraction=fraction,
     )
-    return restricted, sparse
+    return restricted, indices
 
 
 # ----------------------------------------------------------------------
@@ -353,24 +344,11 @@ def load_dataset(path) -> Dataset:
 
 
 def save_model(model: Model, path) -> None:
-    dc, yc, tc = model.decoder_config, model.dynamics_config, model.training_config
     header = {
         "kind": "model",
-        "decoder_config": {
-            "architecture": dc.architecture, "latent_dim": dc.latent_dim,
-            "layers": dc.layers, "width": dc.width, "coord_dim": dc.coord_dim,
-            "out_channels": dc.out_channels, "omega0": dc.omega0,
-            "coord_lo": list(dc.coord_lo), "coord_hi": list(dc.coord_hi),
-        },
-        "dynamics_config": {
-            "latent_dim": yc.latent_dim, "layers": yc.layers,
-            "width": yc.width, "param_dim": yc.param_dim,
-        },
-        "training_config": {f: getattr(tc, f) for f in (
-            "epochs", "warmup_epochs", "lr0", "decay_rate", "decay_every",
-            "batch_size", "lam", "gamma", "seed", "beta1", "beta2", "eps",
-            "weight_decay", "checkpoint_every", "log_every",
-        )},
+        "decoder_config": asdict(model.decoder_config),
+        "dynamics_config": asdict(model.dynamics_config),
+        "training_config": asdict(model.training_config),
         "spec": _spec_to_dict(model.spec),
         "snapshot_dt": model.snapshot_dt,
     }
@@ -384,25 +362,26 @@ def save_model(model: Model, path) -> None:
     _write_container(path, header, arrays)
 
 
+def _config(cls, d: dict):
+    """A config dataclass from its header entry, which must name every field."""
+    names = {f.name for f in fields(cls)}
+    if set(d) != names:
+        raise FormatError(f"{cls.__name__} header: missing {sorted(names - set(d))}, "
+                          f"unknown {sorted(set(d) - names)}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
 def load_model(path) -> Model:
     header, arrays = _read_container(path, "model")
     with _malformed("model"):
-        d = header["decoder_config"]
-        dec_config = DecoderConfig(
-            architecture=d["architecture"], latent_dim=d["latent_dim"],
-            layers=d["layers"], width=d["width"], coord_dim=d["coord_dim"],
-            out_channels=d["out_channels"], omega0=d["omega0"],
-            coord_lo=tuple(d["coord_lo"]), coord_hi=tuple(d["coord_hi"]),
-        )
-        dyn_config = DynamicsConfig(**header["dynamics_config"])
         return Model(
-            decoder_config=dec_config,
+            decoder_config=_config(DecoderConfig, header["decoder_config"]),
             decoder_params={k[4:]: v for k, v in arrays.items() if k.startswith("dec.")},
-            dynamics_config=dyn_config,
+            dynamics_config=_config(DynamicsConfig, header["dynamics_config"]),
             dynamics_params={k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")},
             latents=arrays["latents"],
             spec=_spec_from_dict(header["spec"]),
             snapshot_dt=header["snapshot_dt"],
-            training_config=TrainingConfig(**header["training_config"]),
+            training_config=_config(TrainingConfig, header["training_config"]),
             history={k[8:]: v for k, v in arrays.items() if k.startswith("history.")},
         )

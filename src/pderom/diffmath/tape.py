@@ -648,7 +648,9 @@ def backward(root: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
             elif slot[1]:
                 np.add(slot[0], c, out=slot[0])
             else:
-                slot[0] = slot[0] + c
+                # asarray: two 0-d cotangents add up to a numpy scalar,
+                # which cannot be the ``out`` of the next in-place add
+                slot[0] = np.asarray(slot[0] + c)
                 slot[1] = True
     out = []
     for t in wrt:

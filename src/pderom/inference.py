@@ -11,12 +11,12 @@ can be decoded at any target time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import Tensor, backward, constant, no_grad
+from .diffmath import NonFiniteError, Tensor, backward, constant, no_grad
 from .losses import field_rnmse
 from .networks import (
     DecoderConfig,
@@ -76,7 +76,8 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
     grid ``X``; batched fields are inverted independently (their losses
     do not interact).  Returns ``(codes, final_loss)`` where codes is
     (k,) or (B, k) and final_loss the per-field reconstruction error at
-    the returned codes.
+    the returned codes.  A :class:`NonFiniteError` names the inversion
+    step it arose in.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     single = u0.ndim == 2
@@ -108,11 +109,13 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
     alpha = {"alpha": Tensor(np.zeros((b, k)), requires_grad=True)}
     state = adamw_init(alpha)
     for step in range(inversion.steps):
-        loss_rows = field_rnmse(predict(alpha["alpha"]), batch)
-        loss = dm.sum_(loss_rows)  # rows are independent; sum decouples
-        if not np.isfinite(loss.data):
-            raise FloatingPointError(f"non-finite inversion loss at step {step}")
-        (g,) = backward(loss, [alpha["alpha"]])
+        try:
+            loss_rows = field_rnmse(predict(alpha["alpha"]), batch)
+            loss = dm.sum_(loss_rows)  # rows are independent; sum decouples
+            (g,) = backward(loss, [alpha["alpha"]])
+        except NonFiniteError as err:
+            err.args = (f"{err} (inversion step {step})",)
+            raise
         alpha, state = adamw_step(alpha, {"alpha": g}, state, inversion.lr, opt_config)
     with no_grad():
         final = field_rnmse(predict(alpha["alpha"]), batch).data
@@ -227,12 +230,7 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     times = np.asarray(times, dtype=np.float64)
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)
     if integrator.dt_init is None:
-        integrator = IntegratorConfig(
-            rtol=integrator.rtol, atol=integrator.atol,
-            max_steps=integrator.max_steps, dt_init=model.snapshot_dt,
-            safety=integrator.safety, min_factor=integrator.min_factor,
-            max_factor=integrator.max_factor,
-        )
+        integrator = replace(integrator, dt_init=model.snapshot_dt)
     codes = integrate(
         model.dynamics_config, model.dynamics_params, alpha0,
         times[0], times, beta=beta, integrator=integrator,

@@ -14,7 +14,9 @@ network.
 ``batch_terms`` is the vectorized path used by training.  It computes
 the same quantities for a whole batch of snapshots at once and, for the
 hyper decoder, goes through the affine decomposition: one basis decode
-per step instead of one decode per snapshot, with identical math.
+per step instead of one decode per snapshot, with identical math.  The
+per-snapshot functions (``reconstruction_loss`` to ``total_loss``) are
+the reference definitions it is tested against, values and gradients.
 """
 
 from __future__ import annotations
@@ -132,14 +134,14 @@ def latent_rnmse(pred, target) -> Tensor:
 
 
 def reconstruction_loss(config: DecoderConfig, params: dict, alpha, snapshot,
-                        X: np.ndarray, fast: bool = False) -> Tensor:
+                        X: np.ndarray) -> Tensor:
     """Normalized error of the decoded field against an observed snapshot.
 
     The observation grid ``X`` is arbitrary; it does not have to match
     the solver grid (partial or irregular observations decode just as
     well).
     """
-    return field_rnmse(decode(config, params, alpha, X, fast=fast), snapshot)
+    return field_rnmse(decode(config, params, alpha, X), snapshot)
 
 
 def _flat_channels(spec: SolverSpec, config: DecoderConfig) -> int:
@@ -150,7 +152,7 @@ def _flat_channels(spec: SolverSpec, config: DecoderConfig) -> int:
 
 def compute_alpha_dot_star(config: DecoderConfig, params: dict, alpha,
                            spec: SolverSpec, subset: ReducedSample,
-                           beta=None, fast: bool = False) -> Tensor:
+                           beta=None) -> Tensor:
     """Target latent rate: least-squares projection of the solver rate.
 
     Decodes the field on the full solver grid, differentiates it in time
@@ -166,11 +168,11 @@ def compute_alpha_dot_star(config: DecoderConfig, params: dict, alpha,
     if subset.indices.max() >= n:
         raise ValueError("subset index out of grid bounds")
     X = spec.grid.coords()
-    u_hat = decode(config, params, alpha, X, fast=fast)  # (N, 1)
+    u_hat = decode(config, params, alpha, X)  # (N, 1)
     rate = time_derivative(spec, dm.reshape(u_hat, spec.grid.shape), beta)
     rate_sub = dm.take_rows(dm.reshape(rate, (n,)), subset.indices)
     jac = dm.jacobian_fwd(
-        lambda a: decode(config, params, a, X[subset.indices], fast=fast), alpha
+        lambda a: decode(config, params, a, X[subset.indices]), alpha
     )
     return qr_lstsq(jac, rate_sub)
 
@@ -178,16 +180,13 @@ def compute_alpha_dot_star(config: DecoderConfig, params: dict, alpha,
 def dynamics_loss(dec_config: DecoderConfig, dec_params: dict,
                   dyn_config: DynamicsConfig, dyn_params: dict,
                   alpha, spec: SolverSpec, gamma: float,
-                  rng: np.random.Generator, beta=None,
-                  fast: bool = False) -> Tensor:
+                  rng: np.random.Generator, beta=None) -> Tensor:
     """Normalized error between predicted and solver-projected latent rates.
 
     A fresh hyper-reduction subset is drawn from ``rng`` on every call.
     """
     subset = draw_subset(rng, spec.grid.num_points, gamma)
-    target = compute_alpha_dot_star(
-        dec_config, dec_params, alpha, spec, subset, beta=beta, fast=fast
-    )
+    target = compute_alpha_dot_star(dec_config, dec_params, alpha, spec, subset, beta=beta)
     pred = dynamics_eval(dyn_config, dyn_params, alpha, beta)
     return latent_rnmse(pred, target)
 
@@ -196,14 +195,13 @@ def total_loss(dec_config: DecoderConfig, dec_params: dict,
                dyn_config: DynamicsConfig, dyn_params: dict,
                alpha, snapshot, X_obs: np.ndarray, spec: SolverSpec,
                lam: float, gamma: float, rng: np.random.Generator,
-               beta=None, fast: bool = False) -> Tensor:
+               beta=None) -> Tensor:
     """Weighted objective ``lam * L_rec + (1 - lam) * L_dyn``."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    rec = reconstruction_loss(dec_config, dec_params, alpha, snapshot, X_obs, fast=fast)
+    rec = reconstruction_loss(dec_config, dec_params, alpha, snapshot, X_obs)
     dyn = dynamics_loss(
-        dec_config, dec_params, dyn_config, dyn_params, alpha, spec, gamma, rng,
-        beta=beta, fast=fast,
+        dec_config, dec_params, dyn_config, dyn_params, alpha, spec, gamma, rng, beta=beta
     )
     return dm.add(dm.mul(rec, lam), dm.mul(dyn, 1.0 - lam))
 

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import Tensor, as_tensor, constant, no_grad
+from .diffmath import NonFiniteError, Tensor, as_tensor, constant, no_grad
 
 __all__ = [
     "Grid",
@@ -294,7 +294,8 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
     ``(n_saves, *u0.shape)``.  Each row's history ``out[:, b]`` is one
     contiguous block, so splitting a batch into trajectories copies
     nothing.  Raises the underlying solver error (with the step index,
-    and for a CFL violation the offending batch rows) if a step fails.
+    and for a CFL violation the offending batch rows) if a step fails;
+    a :class:`NonFiniteError` from a step names the step.
     """
     if n_steps < 0 or save_every < 1:
         raise ValueError("need n_steps >= 0 and save_every >= 1")
@@ -313,6 +314,9 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
                 u = spec.step(u, beta)
             except SolverError as err:
                 raise SolverError(f"step {step_index}: {err}") from err
+            except NonFiniteError as err:
+                err.args = (f"{err} (step {step_index})",)
+                raise
             if step_index % save_every == 0:
                 saves[step_index // save_every] = u.data
     return saves

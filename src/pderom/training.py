@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import Tensor, backward
+from .diffmath import NonFiniteError, Tensor, backward
 from .losses import batch_terms
 from .networks import DecoderConfig, DynamicsConfig, init_decoder, init_dynamics
 from .solvers import SolverSpec
 
 __all__ = [
-    "tune_allocator",
     "TrainingConfig",
     "AdamState",
     "Model",
@@ -45,28 +44,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger("pderom.training")
-
-
-def tune_allocator(threshold: int = 256 * 1024 * 1024) -> bool:
-    """Keep large numpy buffers on the heap instead of per-op mmap churn.
-
-    glibc hands allocations above its mmap threshold straight back to
-    the kernel on free, so an optimizer step that creates tens of
-    large temporaries pays page-fault costs for every one of them.
-    Raising the threshold (and the trim threshold) lets freed buffers
-    be reused.  Called automatically by :func:`train`; a no-op on
-    non-glibc platforms.
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
-        ok = libc.mallopt(M_MMAP_THRESHOLD, threshold)
-        ok &= libc.mallopt(M_TRIM_THRESHOLD, threshold)
-        return bool(ok)
-    except Exception:  # pragma: no cover - platform dependent
-        return False
 
 
 @dataclass(frozen=True)
@@ -168,7 +145,7 @@ class Model:
     spec: SolverSpec
     snapshot_dt: float
     training_config: TrainingConfig
-    history: dict = field(default_factory=dict)  # per-epoch series
+    history: dict = field(default_factory=dict)  # per-epoch float64 series
 
 
 def _prefixed(dec: dict, dyn: dict, latents: np.ndarray) -> dict:
@@ -193,8 +170,10 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     dynamics loss always reconstructs on the full solver grid.  Writes a
     checkpoint every ``checkpoint_every`` epochs when ``out_dir`` is
     given, plus the final model.
+
+    A :class:`NonFiniteError` names the epoch and the batch's rows of the
+    snapshot table (row ``trajectory * (t_train + 1) + time``).
     """
-    tune_allocator()
     spec: SolverSpec = dataset.spec
     trajs = dataset.train
     if not trajs:
@@ -251,20 +230,20 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
                 rng_hyper.random((b, n_grid)), axis=1
             )[:, :n_sub]
             dec_p, dyn_p, latents = _split(joint)
-            alpha_b = dm.take_rows(latents, rows)
-            rec, dyn = batch_terms(
-                decoder_config, dec_p, dynamics_config, dyn_p,
-                alpha_b, table[rows], spec, subset_idx,
-                obs_indices=obs_idx,
-                beta_b=None if beta_table is None else beta_table[rows],
-                warmup=warmup,
-            )
-            loss = dm.add(dm.mul(rec, config.lam), dm.mul(dyn, 1.0 - config.lam))
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch rows {lo}:{lo + b}"
+            try:
+                alpha_b = dm.take_rows(latents, rows)
+                rec, dyn = batch_terms(
+                    decoder_config, dec_p, dynamics_config, dyn_p,
+                    alpha_b, table[rows], spec, subset_idx,
+                    obs_indices=obs_idx,
+                    beta_b=None if beta_table is None else beta_table[rows],
+                    warmup=warmup,
                 )
-            grads = backward(loss, [joint[n] for n in names])
+                loss = dm.add(dm.mul(rec, config.lam), dm.mul(dyn, 1.0 - config.lam))
+                grads = backward(loss, [joint[n] for n in names])
+            except NonFiniteError as err:
+                err.args = (f"{err} (epoch {epoch}, batch rows {rows.tolist()})",)
+                raise
             joint, state = adamw_step(
                 joint, dict(zip(names, grads)), state, lr, config
             )
@@ -283,41 +262,36 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
         if out_dir is not None and (
             (epoch + 1) % config.checkpoint_every == 0 or epoch == config.epochs - 1
         ):
-            _checkpoint(joint, decoder_config, dynamics_config, dataset, config,
-                        history, n_traj, per_traj, out_dir, epoch)
+            _checkpoint(
+                _model(joint, history, dataset, decoder_config, dynamics_config, config),
+                out_dir, epoch,
+            )
 
+    return _model(joint, history, dataset, decoder_config, dynamics_config, config)
+
+
+def _model(joint, history, dataset, decoder_config, dynamics_config, config) -> Model:
     dec_p, dyn_p, latents = _split(joint)
     return Model(
         decoder_config=decoder_config,
         decoder_params={k: v.data for k, v in dec_p.items()},
         dynamics_config=dynamics_config,
         dynamics_params={k: v.data for k, v in dyn_p.items()},
-        latents=latents.data.reshape(n_traj, per_traj, k),
-        spec=spec,
+        latents=latents.data.reshape(
+            len(dataset.train), dataset.t_train + 1, decoder_config.latent_dim
+        ),
+        spec=dataset.spec,
         snapshot_dt=dataset.snapshot_dt,
         training_config=config,
-        history={k: np.asarray(v) for k, v in history.items()},
+        history={k: np.asarray(v, dtype=np.float64) for k, v in history.items()},
     )
 
 
-def _checkpoint(joint, dec_config, dyn_config, dataset, config, history,
-                n_traj, per_traj, out_dir, epoch):
+def _checkpoint(model: Model, out_dir, epoch: int) -> None:
     from pathlib import Path
 
     from .data import save_model
 
-    dec_p, dyn_p, latents = _split(joint)
-    model = Model(
-        decoder_config=dec_config,
-        decoder_params={k: v.data for k, v in dec_p.items()},
-        dynamics_config=dyn_config,
-        dynamics_params={k: v.data for k, v in dyn_p.items()},
-        latents=latents.data.reshape(n_traj, per_traj, dec_config.latent_dim),
-        spec=dataset.spec,
-        snapshot_dt=dataset.snapshot_dt,
-        training_config=config,
-        history={k: np.asarray(v) for k, v in history.items()},
-    )
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     save_model(model, path / f"checkpoint-{epoch + 1:06d}.pdrm")

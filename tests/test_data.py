@@ -1,5 +1,7 @@
 """Dataset generation, sparse grids, and the binary container."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,12 +91,13 @@ class TestGeneration:
 
 class TestSubsampleGrid:
     def test_index_count_and_range(self, diffusion):
-        sparse, grid = data.subsample_grid(diffusion, 0.1, seed=4)
+        sparse, indices = data.subsample_grid(diffusion, 0.1, seed=4)
         n = 42 * 42
-        assert len(grid.indices) == int(0.1 * n)
-        assert len(np.unique(grid.indices)) == len(grid.indices)
-        assert grid.indices.min() >= 0 and grid.indices.max() < n
-        np.testing.assert_array_equal(sparse.obs_indices, grid.indices)
+        assert len(indices) == int(0.1 * n)
+        assert len(np.unique(indices)) == len(indices)
+        assert indices.min() >= 0 and indices.max() < n
+        np.testing.assert_array_equal(sparse.obs_indices, indices)
+        assert sparse.sparse_fraction == 0.1
         assert sparse.observed(sparse.train[0]).shape == (201, int(0.1 * n), 1)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.5, 1e-6])
@@ -164,6 +167,26 @@ class TestContainer:
             except FormatError:
                 rejected += 1
         assert rejected > 0.8 * header_end  # most flips break the header
+
+    @pytest.mark.parametrize("config,key", [("decoder_config", "omega0"),
+                                            ("dynamics_config", "param_dim"),
+                                            ("training_config", "log_every")])
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_config_keys_must_match_fields(self, tmp_path, config, key, change):
+        path = tmp_path / "m.pdrm"
+        data.save_model(small_model(), path)
+        blob = path.read_bytes()
+        end = 20 + int(np.frombuffer(blob[12:20], dtype="<u8")[0])
+        header = json.loads(blob[20:end])
+        if change == "missing":  # a field with a default, which used to fill in
+            del header[config][key]
+        else:
+            header[config]["unknown"] = 1
+        payload = data._canonical(header)
+        path.write_bytes(blob[:12] + np.uint64(len(payload)).tobytes() + payload
+                         + blob[end:])
+        with pytest.raises(FormatError, match=r"Config header: missing"):
+            data.load_model(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):
         path = saved(tmp_path, small_dataset())

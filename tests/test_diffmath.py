@@ -54,6 +54,12 @@ class TestGrad:
         _, g2 = dm.grad(loss, params)
         assert np.array_equal(g1["w"].data, g2["w"].data)
 
+    def test_scalar_used_three_times(self):
+        x = dm.parameter(np.array(2.0))
+        y = dm.add(dm.add(dm.mul(x, 3.0), dm.mul(x, 4.0)), dm.mul(x, 5.0))
+        (g,) = dm.backward(y, [x])
+        assert g == 12.0
+
     def test_nonfinite_intermediate_names_operation(self):
         def loss(p):
             return dm.sum_(dm.log(p["x"]))

@@ -1,10 +1,12 @@
 """Loss terms, hyper-reduction, and end-to-end differentiation."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from pderom import diffmath as dm
-from pderom.diffmath import Tensor, backward, constant, qr_lstsq
+from pderom.diffmath import Tensor, backward, constant, no_grad, qr_lstsq, stop_gradient
 from pderom.losses import (
     DegenerateNormError,
     ReducedSample,
@@ -349,6 +351,8 @@ class TestBatchTerms:
     @pytest.mark.parametrize("arch", ["hyper", "siren"])
     @pytest.mark.parametrize("warmup", [False, True])
     def test_matches_per_snapshot_ops(self, arch, warmup):
+        # values and gradients (codes, decoder, dynamics network) of both
+        # terms equal the mean of the per-snapshot reference losses
         rng = np.random.default_rng(31)
         if arch == "hyper":
             dec_config, spec = HYPER, DIFF_SPEC
@@ -356,11 +360,12 @@ class TestBatchTerms:
         else:
             dec_config, spec = SIREN, BURG_SPEC
             beta_b = rng.uniform(0.015, 0.03, size=(3, 1))
-        dec_params = init_decoder(dec_config, seed=3)
         k = dec_config.latent_dim
         dyn_config = DynamicsConfig(latent_dim=k, layers=2, width=8,
                                     param_dim=0 if beta_b is None else 1)
-        dyn_params = init_dynamics(dyn_config, seed=3)
+        leaves = lambda ps: {n: Tensor(v.data, requires_grad=True) for n, v in ps.items()}
+        dec_params = leaves(init_decoder(dec_config, seed=3))
+        dyn_params = leaves(init_dynamics(dyn_config, seed=3))
 
         n = spec.grid.num_points
         alpha_np = rng.normal(size=(3, k)) * 0.4
@@ -370,27 +375,39 @@ class TestBatchTerms:
             rng.choice(n, size=n_sub, replace=False) for _ in range(3)
         ])
 
-        rec_b, dyn_b = batch_terms(
+        alpha_b = Tensor(alpha_np, requires_grad=True)
+        batch = batch_terms(
             dec_config, dec_params, dyn_config, dyn_params,
-            constant(alpha_np), snapshots, spec, subset_idx,
+            alpha_b, snapshots, spec, subset_idx,
             beta_b=beta_b, warmup=warmup,
         )
 
+        alphas = [Tensor(a, requires_grad=True) for a in alpha_np]
         recs, dyns = [], []
-        for i in range(3):
-            alpha = constant(alpha_np[i])
+        for i, alpha in enumerate(alphas):
             beta = None if beta_b is None else constant(beta_b[i])
             recs.append(reconstruction_loss(
                 dec_config, dec_params, alpha, snapshots[i], spec.grid.coords()
-            ).data)
-            target = compute_alpha_dot_star(
-                dec_config, dec_params, alpha, spec,
-                ReducedSample(subset_idx[i]), beta=beta,
-            )
-            pred = dynamics_eval(dyn_config, dyn_params, alpha, beta)
-            dyns.append(latent_rnmse(pred, target).data)
-        np.testing.assert_allclose(rec_b.data, np.mean(recs), rtol=1e-9)
-        np.testing.assert_allclose(dyn_b.data, np.mean(dyns), rtol=1e-9)
+            ))
+            # warm-up: the dynamics term trains the dynamics network alone
+            with no_grad() if warmup else nullcontext():
+                target = compute_alpha_dot_star(
+                    dec_config, dec_params, alpha, spec,
+                    ReducedSample(subset_idx[i]), beta=beta,
+                )
+            alpha_in = stop_gradient(alpha) if warmup else alpha
+            pred = dynamics_eval(dyn_config, dyn_params, alpha_in, beta)
+            dyns.append(latent_rnmse(pred, target))
+        params = [*dec_params.values(), *dyn_params.values()]
+        for got, terms in zip(batch, (recs, dyns)):
+            want = dm.mul(dm.add(dm.add(terms[0], terms[1]), terms[2]), 1.0 / 3.0)
+            np.testing.assert_allclose(got.data, want.data, rtol=1e-9)
+            g_got = backward(got, [alpha_b, *params])
+            g_want = backward(want, [*alphas, *params])
+            g_want = [np.stack(g_want[:3]), *g_want[3:]]
+            for a, b in zip(g_got, g_want):
+                np.testing.assert_allclose(a, b, rtol=1e-9,
+                                           atol=1e-12 * max(np.abs(b).max(), 1.0))
 
     def test_warmup_routes_gradients(self):
         rng = np.random.default_rng(33)

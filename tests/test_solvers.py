@@ -254,6 +254,14 @@ class TestRollout:
         assert "batch rows" not in str(alone.value)
         rollout(spec, w0[0], n_steps=50, beta=0.0)
 
+    def test_non_finite_step_is_named(self):
+        u0 = np.zeros((2, 42, 42))
+        u0[1, 20, 20] = 1.5e308  # the stencil overflows on the first step
+        with np.errstate(over="ignore"), \
+                pytest.raises(dm.NonFiniteError, match=r"\(step 1\)$") as err:
+            rollout(DIFF_SPEC, u0, n_steps=3)
+        assert err.value.op in ("add", "sub", "mul")
+
     def test_batched_rows_equal_separate_rollouts(self):
         u0 = np.stack([gaussian_blob(DIFF_GRID, s, a) for s, a in ((3.0, 1.0), (5.0, 2.0))])
         batch = rollout(DIFF_SPEC, u0, n_steps=6, save_every=2)

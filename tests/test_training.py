@@ -1,0 +1,65 @@
+"""Training runs: bitwise reruns, checkpoints, and located failures."""
+
+import re
+
+import numpy as np
+import pytest
+
+from pderom import data
+from pderom.diffmath import NonFiniteError
+from pderom.networks import DecoderConfig, DynamicsConfig
+from pderom.training import TrainingConfig, train
+
+DEC = DecoderConfig("hyper", latent_dim=3, layers=1, width=8, coord_dim=2,
+                    coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
+DYN = DynamicsConfig(latent_dim=3, layers=1, width=8)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return data.gen_diffusion(1, seed=0, n_test=0, n_val=0)  # 26 training snapshots
+
+
+def assert_same_model(a, b):
+    for attr in ("decoder_config", "dynamics_config", "training_config", "spec",
+                 "snapshot_dt"):
+        assert getattr(a, attr) == getattr(b, attr), attr
+    pairs = [("latents", a.latents, b.latents)]
+    for group in ("decoder_params", "dynamics_params", "history"):
+        x, y = getattr(a, group), getattr(b, group)
+        assert sorted(x) == sorted(y), group
+        pairs += [(f"{group}[{k}]", x[k], y[k]) for k in x]
+    for what, x, y in pairs:
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), what
+        assert x.tobytes() == y.tobytes(), what
+
+
+def test_reruns_and_checkpoints_are_bitwise_equal(tmp_path, tiny):
+    cfg = TrainingConfig(epochs=3, warmup_epochs=1, batch_size=8, seed=5,
+                         checkpoint_every=2)
+    first = train(tiny, DEC, DYN, cfg, out_dir=tmp_path / "a")
+    second = train(tiny, DEC, DYN, cfg, out_dir=tmp_path / "b")
+    assert_same_model(first, second)
+
+    final = tmp_path / "a" / "model.pdrm"
+    assert_same_model(first, data.load_model(final))
+    checkpoints = sorted((tmp_path / "a").glob("checkpoint-*.pdrm"))
+    assert [p.name for p in checkpoints] == ["checkpoint-000002.pdrm",
+                                             "checkpoint-000003.pdrm"]
+    assert checkpoints[-1].read_bytes() == final.read_bytes()
+    assert (tmp_path / "b" / "model.pdrm").read_bytes() == final.read_bytes()
+
+
+def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
+    bad = tiny.train[0].snapshots.copy()
+    bad[3, 100, 0] = np.inf  # snapshot row 3 of the table
+    ds = data.Dataset(tiny.spec, tiny.snapshot_dt, tiny.t_train, tiny.t_test,
+                      tiny.seed, train=[data.Trajectory(bad, tiny.train[0].beta)],
+                      test=[])
+    cfg = TrainingConfig(epochs=1, warmup_epochs=1, batch_size=8)
+    with pytest.raises(NonFiniteError, match=r"\(epoch 0, batch rows \[") as err:
+        train(ds, DEC, DYN, cfg)
+    assert err.value.op == "sub"
+    rows = [int(r) for r in re.search(r"batch rows \[([\d, ]+)\]", str(err.value))
+            .group(1).split(",")]
+    assert 3 in rows and len(rows) <= 8
