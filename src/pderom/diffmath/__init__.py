@@ -65,6 +65,7 @@ __all__ = [
     "concat",
     "broadcast_to",
     "sine_affine",
+    "sin_shift",
     "take_rows",
     "take_along",
     "slice_",
@@ -127,6 +128,7 @@ transpose = _tape.transpose
 swapaxes = _tape.swapaxes
 broadcast_to = _tape.broadcast_to
 sine_affine = _tape.sine_affine
+sin_shift = _tape.sin_shift
 take_rows = _tape.take_rows
 take_along = _tape.take_along
 slice_ = _tape.slice_

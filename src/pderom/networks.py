@@ -4,7 +4,13 @@ Two decoder families map a latent code plus a spatial coordinate to
 field values, one coordinate at a time (mesh-free):
 
 * ``siren`` - an MLP with ``sin(omega0 * (W z + b))`` hidden layers whose
-  input is the coordinate concatenated with the latent code.
+  input is the coordinate concatenated with the latent code.  The first
+  layer is evaluated split: ``sin(p + q)`` with the grid part
+  ``p = omega0 (x W_x + b)`` and the code part ``q = omega0 alpha W_a``,
+  added by angle addition (``dm.sin_shift``), so its sines run once per
+  grid point and once per code instead of once per (code, point) pair.
+  :func:`grid_decoder` computes the grid part once for many codes.
+  Forward-mode (DualBatch) decodes keep the concatenated form.
 * ``hyper`` - trig-modulated layers
   ``(W z + b + W' alpha) * [cos(freq x), sin(freq x)]`` where the latent
   code enters only through the per-layer bias shift ``W' alpha`` and the
@@ -38,6 +44,7 @@ __all__ = [
     "init_decoder",
     "init_dynamics",
     "decode",
+    "grid_decoder",
     "decode_jacobian",
     "affine_decomposition",
     "hyper_layer",
@@ -198,6 +205,72 @@ def _hyper_trig(params, xn_t: Tensor, i: int, rs: bool) -> Tensor:
     return dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1)
 
 
+def _normalized_coords(config: DecoderConfig, X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[-1] != config.coord_dim:
+        raise ValueError(
+            f"coordinates have dimension {X.shape[-1]}, expected {config.coord_dim}"
+        )
+    return config.normalize(X)
+
+
+def _check_code(config: DecoderConfig, alpha) -> tuple:
+    shape = _alpha_shape(alpha)
+    if shape[-1] != config.latent_dim:
+        raise ValueError(
+            f"latent code has dimension {shape[-1]}, expected {config.latent_dim}"
+        )
+    return shape
+
+
+def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
+                 fast: bool = False):
+    """Bind a decoder to the grid ``X``: returns ``code -> field``.
+
+    Everything that depends on the grid alone is computed here, once:
+    for siren ``sin p`` and ``cos p`` of the first layer's grid part, for
+    hyper the affine map ``(A, c)`` of :func:`affine_decomposition`.  The
+    returned function takes a code Tensor of shape (k,) or (B, k) and
+    returns (N, m) or (B, N, m); it stays on the tape, so gradients reach
+    the code and, through the bound grid part, the parameters.  For
+    siren it is what :func:`decode` runs on a non-dual code, bit for bit.
+    """
+    xn = _normalized_coords(config, X)
+    rs = not fast
+
+    if config.architecture == "hyper":
+        A, c = affine_decomposition(config, params, X, fast=fast)
+        n, m = xn.shape[-2], config.out_channels
+
+        def predict(code):
+            shape = _check_code(config, code)
+            rows = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
+            flat = dm.add(dm.matmul(rows, A, rs), c)
+            return dm.reshape(flat, (*shape[:-1], n, m))
+
+        return predict
+
+    # first layer sin(omega0 (x W_x + alpha W_a + b)) = sin(p + q) with the
+    # grid part p and the code part q apart; dm.sin_shift adds the angles
+    d, omega0 = config.coord_dim, constant(np.float64(config.omega0))
+    W0 = params["l0.W"]
+    p = dm.mul(dm.add(dm.matmul(constant(xn), dm.slice_(W0, (slice(0, d),)), rs),
+                      params["l0.b"]), omega0)
+    sin_p, cos_p = dm.sin(p), dm.cos(p)
+    W_a = dm.slice_(W0, (slice(d, d + config.latent_dim),))
+
+    def predict(code):
+        shape = _check_code(config, code)
+        q = dm.mul(dm.matmul(dm.reshape(code, (*shape[:-1], 1, shape[-1])), W_a, rs),
+                   omega0)
+        z = dm.sin_shift(sin_p, cos_p, q)
+        for i in range(1, config.layers):
+            z = dm.sine_affine(z, params[f"l{i}.W"], params[f"l{i}.b"], config.omega0, rs)
+        return dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
+
+    return predict
+
+
 def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
            fast: bool = False):
     """Evaluate the decoder on every coordinate of ``X``.
@@ -211,33 +284,23 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
     ulps of rounding may then depend on row position, which training
     and inversion loops accept in exchange for an order of magnitude
     in throughput.
+
+    A siren with a Tensor code runs :func:`grid_decoder`; with a
+    DualBatch it runs the composed first layer on ``[x, alpha]``.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != config.coord_dim:
-        raise ValueError(
-            f"coordinates have dimension {X.shape[-1]}, expected {config.coord_dim}"
-        )
-    shape = _alpha_shape(alpha)
-    if shape[-1] != config.latent_dim:
-        raise ValueError(
-            f"latent code has dimension {shape[-1]}, expected {config.latent_dim}"
-        )
-    xn = config.normalize(X)
+    if config.architecture == "siren" and not isinstance(alpha, DualBatch):
+        return grid_decoder(config, params, X, fast)(alpha)
+    xn = _normalized_coords(config, X)
+    _check_code(config, alpha)
     n = xn.shape[-2]
     rs = not fast
 
     if config.architecture == "siren":
         rows = _rows_from_code(alpha, n, rs)
-        xin = constant(_coord_rows(xn, alpha))
-        z = dm.concat([xin, rows], axis=-1)
-        dualmode = isinstance(z, DualBatch)
+        z = dm.concat([constant(_coord_rows(xn, alpha)), rows], axis=-1)
         for i in range(config.layers):
-            if dualmode:
-                pre = dm.add(dm.matmul(z, params[f"l{i}.W"], rs), params[f"l{i}.b"])
-                z = dm.sin(dm.mul(pre, constant(np.float64(config.omega0))))
-            else:
-                z = dm.sine_affine(z, params[f"l{i}.W"], params[f"l{i}.b"],
-                                   config.omega0, rs)
+            pre = dm.add(dm.matmul(z, params[f"l{i}.W"], rs), params[f"l{i}.b"])
+            z = dm.sin(dm.mul(pre, constant(np.float64(config.omega0))))
         return dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
 
     xn_t = constant(xn)

@@ -293,9 +293,10 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
     Returns the saved states including t = 0, shape
     ``(n_saves, *u0.shape)``.  Each row's history ``out[:, b]`` is one
     contiguous block, so splitting a batch into trajectories copies
-    nothing.  Raises the underlying solver error (with the step index,
-    and for a CFL violation the offending batch rows) if a step fails;
-    a :class:`NonFiniteError` from a step names the step.
+    nothing.  A :class:`SolverError` or :class:`NonFiniteError` raised
+    by a step propagates with its type and attributes, its message
+    ending in ``(step N)``; a CFL violation also names the offending
+    batch rows (``CFLError.rows``).
     """
     if n_steps < 0 or save_every < 1:
         raise ValueError("need n_steps >= 0 and save_every >= 1")
@@ -312,9 +313,7 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
         for step_index in range(1, n_steps + 1):
             try:
                 u = spec.step(u, beta)
-            except SolverError as err:
-                raise SolverError(f"step {step_index}: {err}") from err
-            except NonFiniteError as err:
+            except (SolverError, NonFiniteError) as err:
                 err.args = (f"{err} (step {step_index})",)
                 raise
             if step_index % save_every == 0:

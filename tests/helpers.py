@@ -65,6 +65,20 @@ def normal_equations_lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(J.T @ J, J.T @ b)
 
 
+def expm(A: np.ndarray) -> np.ndarray:
+    """Matrix exponential: a 30-term Taylor series, scaled and squared."""
+    norm = np.abs(A).sum(axis=1).max()
+    squarings = max(0, int(np.ceil(np.log2(norm / 0.25)))) if norm > 0 else 0
+    A = A / 2.0**squarings
+    out = term = np.eye(len(A))
+    for j in range(1, 30):
+        term = term @ A / j
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def heat_kernel_2d(xy: np.ndarray, t: float, sigma: float, amp: float,
                    center=(0.0, 0.0), kappa: float = 2.0) -> np.ndarray:
     """Free-space solution for a Gaussian blob under 2-D diffusion.

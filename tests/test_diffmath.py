@@ -189,6 +189,41 @@ class TestPrimitives:
 
         assert fd_check_params(loss, params) <= 1e-5
 
+    @pytest.mark.parametrize("shape_p,shape_q", [((5, 4), (3, 1, 4)), ((5, 4), (1, 4)),
+                                                 ((3, 5, 4), (3, 1, 4))])
+    def test_sin_shift_values(self, shape_p, shape_q):
+        rng = np.random.default_rng(9)
+        p = rng.uniform(-40.0, 40.0, size=shape_p)
+        q = rng.uniform(-40.0, 40.0, size=shape_q)
+        out = dm.sin_shift(np.sin(p), np.cos(p), q)
+        assert out.shape == np.broadcast_shapes(shape_p, shape_q)
+        np.testing.assert_allclose(out.data, np.sin(p + q), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape_p,shape_q", [((5, 4), (3, 1, 4)), ((5, 4), (1, 4)),
+                                                 ((3, 5, 4), (3, 1, 4))])
+    def test_sin_shift_grad(self, shape_p, shape_q):
+        # s and c are independent inputs here, not sine and cosine of one p
+        rng = np.random.default_rng(10)
+        params = {
+            "s": dm.constant(rng.normal(size=shape_p)),
+            "c": dm.constant(rng.normal(size=shape_p)),
+            "q": dm.constant(rng.normal(size=shape_q)),
+        }
+        weights = rng.normal(size=np.broadcast_shapes(shape_p, shape_q))
+
+        def loss(p):
+            return dm.sum_(dm.sin_shift(p["s"], p["c"], p["q"]) * weights)
+
+        assert fd_check_params(loss, params) <= 1e-6
+
+    def test_sin_shift_non_finite_shift(self):
+        q = np.zeros((2, 1, 3))
+        q[1, 0, 2] = np.inf
+        p = np.zeros((4, 3))
+        with np.errstate(invalid="ignore"), pytest.raises(dm.NonFiniteError) as err:
+            dm.sin_shift(np.sin(p), np.cos(p), q)
+        assert err.value.op == "sin_shift"
+
     def test_no_grad_context(self):
         x = dm.parameter(np.ones(3))
         with dm.no_grad():

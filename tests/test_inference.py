@@ -1,11 +1,23 @@
-"""Inversion: located failures."""
+"""Inversion, latent integration and forecasting."""
 
 import numpy as np
 import pytest
 
-from pderom.diffmath import NonFiniteError
-from pderom.inference import InversionConfig, invert
-from pderom.networks import DecoderConfig, init_decoder
+from pderom import data, inference
+from pderom.diffmath import NonFiniteError, constant
+from pderom.inference import IntegratorConfig, InversionConfig, forecast, integrate, invert
+from pderom.losses import field_rnmse
+from pderom.networks import (
+    DecoderConfig,
+    DynamicsConfig,
+    decode,
+    dynamics_eval,
+    init_decoder,
+    init_dynamics,
+)
+from pderom.training import TrainingConfig, train
+
+from helpers import expm
 
 HYPER = DecoderConfig("hyper", latent_dim=3, layers=1, width=8, coord_dim=1,
                       coord_lo=(0.0,), coord_hi=(1.0,))
@@ -19,3 +31,112 @@ def test_non_finite_field_names_the_inversion_step():
     with pytest.raises(NonFiniteError, match=r"\(inversion step 0\)") as err:
         invert(HYPER, params, u0, X, InversionConfig(steps=3))
     assert err.value.op == "sub"
+
+
+@pytest.mark.parametrize("arch", ["hyper", "siren"])
+def test_invert_recovers_a_known_code(arch):
+    config = DecoderConfig(arch, latent_dim=3, layers=2, width=16, coord_dim=2,
+                           coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+    params = {k: v.data for k, v in init_decoder(config, seed=4).items()}
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, size=(60, 2))
+    codes = rng.normal(size=(2, 3)) * 0.3
+    fields = decode(config, params, constant(codes), X).data
+    got, loss = invert(config, params, fields, X, InversionConfig(steps=500, lr=0.005))
+    assert got.shape == codes.shape and loss.shape == (2,)
+    assert (loss < 0.01).all()
+    np.testing.assert_allclose(got, codes, atol=5e-3)
+    np.testing.assert_allclose(
+        loss, field_rnmse(decode(config, params, constant(got), X, fast=True), fields).data,
+        rtol=1e-12)
+    single, single_loss = invert(config, params, fields[1], X,
+                                 InversionConfig(steps=500, lr=0.005))
+    assert single.shape == (3,) and single_loss < 0.01
+
+
+def test_integrate_matches_a_linear_ode():
+    # omega = -1000 makes softplus exactly 0, so every Swish gate is exactly
+    # 0.5 and the network is the affine map d(alpha)/dt = alpha M + c
+    config = DynamicsConfig(latent_dim=3, layers=2, width=6)
+    params = {k: v.data for k, v in init_dynamics(config, seed=3).items()}
+    for i in range(config.layers):
+        params[f"l{i}.omega"] = np.array(-1000.0)
+    params["out.W"] = params["out.W"] * 30.0  # rates of order one
+    tparams = {k: constant(v) for k, v in params.items()}
+    c = dynamics_eval(config, tparams, constant(np.zeros(3))).data
+    M = dynamics_eval(config, tparams, constant(np.eye(3))).data - c
+    probe = np.array([0.3, 0.7, -1.1])
+    np.testing.assert_allclose(dynamics_eval(config, tparams, constant(probe)).data,
+                               probe @ M + c, rtol=0, atol=1e-14)
+
+    # closed form through the augmented generator acting on [alpha, 1]
+    generator = np.zeros((4, 4))
+    generator[:3, :3] = M.T
+    generator[:3, 3] = c
+    alpha0 = np.array([1.0, -0.5, 0.25])
+    times = np.linspace(0.0, 3.0, 61)
+    exact = np.stack([(expm(t * generator) @ np.append(alpha0, 1.0))[:3] for t in times])
+
+    calls = []
+    for rtol in (1e-3, 1e-5, 1e-7):
+        integrator = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "dynamics_eval",
+                       lambda *a, **k: calls.append(rtol) or dynamics_eval(*a, **k))
+            got = integrate(config, params, alpha0, 0.0, times, integrator=integrator)
+        scale = integrator.atol + integrator.rtol * np.abs(exact)
+        # global error of a locally controlled pair: a fixed multiple of the
+        # tolerance (at most about 15 on this growing mode)
+        assert (np.abs(got - exact) / scale).max() < 50.0, rtol
+    # at the loosest tolerance a step spans several targets, so the dense
+    # output is checked inside steps, not only at their ends
+    assert calls.count(1e-3) / 3 < (len(times) - 1) / 2
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A dataset and, per architecture, a model and its saved file."""
+    ds = data.gen_diffusion(1, seed=0, n_test=1, n_val=0)
+    dyn = DynamicsConfig(latent_dim=3, layers=1, width=8)
+    models = {}
+    for arch in ("hyper", "siren"):
+        dec = DecoderConfig(arch, latent_dim=3, layers=2, width=8, coord_dim=2,
+                            coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
+        out_dir = tmp_path_factory.mktemp(arch)
+        models[arch] = (train(ds, dec, dyn,
+                              TrainingConfig(epochs=1, warmup_epochs=1, batch_size=8),
+                              out_dir=out_dir),
+                        out_dir / "model.pdrm")
+    return ds, models
+
+
+def _forecast(ds, model, n_times=12):
+    traj = ds.test[0]
+    times = ds.snapshot_dt * np.arange(n_times)
+    return forecast(model, traj.snapshots[0], ds.obs_coords, times,
+                    inversion=InversionConfig(steps=20))
+
+
+@pytest.mark.parametrize("arch", ["hyper", "siren"])
+def test_forecast_from_loaded_model_is_bitwise_equal(trained, arch):
+    ds, models = trained
+    model, path = models[arch]
+    direct = _forecast(ds, model)
+    assert direct.shape == (12, ds.spec.grid.num_points, 1)
+    assert direct.tobytes() == _forecast(ds, data.load_model(path)).tobytes()
+
+
+def test_blocked_siren_decode_is_bitwise_equal(trained, monkeypatch):
+    ds, models = trained
+    model = models["siren"][0]
+    calls = []
+    monkeypatch.setattr(inference, "decode",
+                        lambda *a, **k: calls.append(a[2].shape[0]) or decode(*a, **k))
+    whole = _forecast(ds, model)
+    assert calls == [12]  # the default budget fits every time in one block
+    per_time = ds.spec.grid.num_points * model.decoder_config.width
+    monkeypatch.setattr(inference, "_DECODE_ELEMENTS", 5 * per_time)
+    calls.clear()
+    blocked = _forecast(ds, model)
+    assert calls == [5, 5, 2]
+    assert blocked.tobytes() == whole.tobytes()

@@ -12,6 +12,7 @@ from pderom.networks import (
     decode,
     decode_jacobian,
     dynamics_eval,
+    grid_decoder,
     init_decoder,
     init_dynamics,
 )
@@ -121,6 +122,28 @@ class TestDecode:
         exact = decode(config, params, constant(alpha), X).data
         fast = decode(config, params, constant(alpha), X, fast=True).data
         np.testing.assert_allclose(fast, exact, rtol=1e-13, atol=1e-13)
+
+
+class TestGridDecoder:
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    def test_matches_decode(self, setup, fast):
+        config, params, X, alpha = setup
+        batch = np.random.default_rng(4).normal(size=(3, config.latent_dim)) * 0.4
+        predict = grid_decoder(config, params, X, fast)
+        for code in (alpha, batch):
+            got = predict(constant(code)).data
+            want = decode(config, params, constant(code), X, fast=fast).data
+            assert got.shape == want.shape
+            if config.architecture == "siren":
+                np.testing.assert_array_equal(got, want)
+            else:
+                # the affine map sums the layers in another order
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_code_dimension_mismatch(self, setup):
+        config, params, X, _ = setup
+        with pytest.raises(ValueError, match="latent code has dimension"):
+            grid_decoder(config, params, X)(constant(np.zeros(config.latent_dim + 1)))
 
 
 class TestHyperLayer:

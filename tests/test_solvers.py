@@ -246,10 +246,10 @@ class TestRollout:
         g = Grid((0.0,), (100.0,), (64,))
         spec = SolverSpec("burgers1d", g, dt=0.5, params={})
         w0 = np.stack([np.ones(64), np.full(64, 3.0)])  # only row 1 breaks CFL
-        with pytest.raises(SolverError, match=r"step 19: .* in batch rows \[1\]") as err:
+        with pytest.raises(CFLError, match=r"in batch rows \[1\] \(step 19\)$") as err:
             rollout(spec, w0, n_steps=50, beta=np.zeros((2, 1)))
-        assert err.value.__cause__.rows == [1]
-        with pytest.raises(SolverError, match=r"step 19: ") as alone:
+        assert err.value.rows == [1]
+        with pytest.raises(CFLError, match=r"\(step 19\)$") as alone:
             rollout(spec, w0[1], n_steps=50, beta=0.0)
         assert "batch rows" not in str(alone.value)
         rollout(spec, w0[0], n_steps=50, beta=0.0)
