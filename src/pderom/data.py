@@ -280,28 +280,10 @@ def _malformed(kind: str):
         raise FormatError(f"malformed {kind} container: {err!r}") from err
 
 
-def _spec_to_dict(spec: SolverSpec) -> dict:
-    return {
-        "pde": spec.pde,
-        "grid": {"lo": list(spec.grid.lo), "hi": list(spec.grid.hi),
-                 "shape": list(spec.grid.shape)},
-        "dt": spec.dt,
-        "params": dict(spec.params),
-        "derivative_steps": spec.derivative_steps,
-    }
-
-
-def _spec_from_dict(d: dict) -> SolverSpec:
-    grid = Grid(lo=tuple(d["grid"]["lo"]), hi=tuple(d["grid"]["hi"]),
-                shape=tuple(d["grid"]["shape"]))
-    return SolverSpec(d["pde"], grid, d["dt"], dict(d["params"]),
-                      d["derivative_steps"])
-
-
 def save_dataset(dataset: Dataset, path) -> None:
     header = {
         "kind": "dataset",
-        "spec": _spec_to_dict(dataset.spec),
+        "spec": asdict(dataset.spec),
         "snapshot_dt": dataset.snapshot_dt,
         "t_train": dataset.t_train,
         "t_test": dataset.t_test,
@@ -333,7 +315,7 @@ def load_dataset(path) -> Dataset:
             splits[split] = items
         obs = arrays.get("obs_indices")
         return Dataset(
-            spec=_spec_from_dict(header["spec"]),
+            spec=_spec(header["spec"]),
             snapshot_dt=header["snapshot_dt"],
             t_train=header["t_train"],
             t_test=header["t_test"],
@@ -349,7 +331,7 @@ def save_model(model: Model, path) -> None:
         "decoder_config": asdict(model.decoder_config),
         "dynamics_config": asdict(model.dynamics_config),
         "training_config": asdict(model.training_config),
-        "spec": _spec_to_dict(model.spec),
+        "spec": asdict(model.spec),
         "snapshot_dt": model.snapshot_dt,
     }
     arrays = {"latents": model.latents}
@@ -371,6 +353,10 @@ def _config(cls, d: dict):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
 
 
+def _spec(d: dict) -> SolverSpec:
+    return _config(SolverSpec, {**d, "grid": _config(Grid, d["grid"])})
+
+
 def load_model(path) -> Model:
     header, arrays = _read_container(path, "model")
     with _malformed("model"):
@@ -380,7 +366,7 @@ def load_model(path) -> Model:
             dynamics_config=_config(DynamicsConfig, header["dynamics_config"]),
             dynamics_params={k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")},
             latents=arrays["latents"],
-            spec=_spec_from_dict(header["spec"]),
+            spec=_spec(header["spec"]),
             snapshot_dt=header["snapshot_dt"],
             training_config=_config(TrainingConfig, header["training_config"]),
             history={k[8:]: v for k, v in arrays.items() if k.startswith("history.")},

@@ -7,7 +7,7 @@ tangents riding on the reverse tape) without caring which one they got.
 
 from . import dual as _dual
 from . import tape as _tape
-from .dual import DualBatch, jacobian_fwd, jvp
+from .dual import DualBatch, jacobian_fwd
 from .lstsq import RANK_RTOL, SingularSystemError, qr_lstsq
 from .tape import (
     DiffmathError,
@@ -17,7 +17,6 @@ from .tape import (
     backward,
     constant,
     grad,
-    grad_enabled,
     no_grad,
     parameter,
     stop_gradient,
@@ -35,11 +34,9 @@ __all__ = [
     "parameter",
     "backward",
     "grad",
-    "grad_enabled",
     "no_grad",
     "stop_gradient",
     "jacobian_fwd",
-    "jvp",
     "qr_lstsq",
     "add",
     "sub",
@@ -48,7 +45,6 @@ __all__ = [
     "neg",
     "pow_const",
     "exp",
-    "log",
     "sqrt",
     "sin",
     "cos",
@@ -61,7 +57,6 @@ __all__ = [
     "mean_",
     "reshape",
     "transpose",
-    "swapaxes",
     "concat",
     "broadcast_to",
     "sine_affine",
@@ -97,11 +92,9 @@ def _dual_aware_binary(tape_fn, dual_fn):
 
 
 add = _dual_aware_binary(_tape.add, _dual.dual_add)
-sub = _dual_aware_binary(_tape.sub, _dual.dual_sub)
 mul = _dual_aware_binary(_tape.mul, _dual.dual_mul)
 matmul = _dual_aware_binary(_tape.matmul, _dual.dual_matmul)
 sin = _dispatch(_tape.sin, _dual.dual_sin)
-cos = _dispatch(_tape.cos, _dual.dual_cos)
 reshape = _dispatch(_tape.reshape, _dual.dual_reshape)
 
 
@@ -112,12 +105,13 @@ def concat(parts, axis: int = -1):
 
 
 # reverse-mode only
+sub = _tape.sub
 div = _tape.div
 neg = _tape.neg
 pow_const = _tape.pow_const
 exp = _tape.exp
-log = _tape.log
 sqrt = _tape.sqrt
+cos = _tape.cos
 sigmoid = _tape.sigmoid
 softplus = _tape.softplus
 maximum = _tape.maximum
@@ -125,7 +119,6 @@ minimum = _tape.minimum
 sum_ = _tape.sum_
 mean_ = _tape.mean_
 transpose = _tape.transpose
-swapaxes = _tape.swapaxes
 broadcast_to = _tape.broadcast_to
 sine_affine = _tape.sine_affine
 sin_shift = _tape.sin_shift

@@ -20,7 +20,7 @@ import numpy as np
 from . import tape
 from .tape import Tensor, as_tensor, constant
 
-__all__ = ["DualBatch", "jacobian_fwd", "jvp"]
+__all__ = ["DualBatch", "jacobian_fwd"]
 
 
 @dataclass
@@ -45,31 +45,6 @@ class DualBatch:
     def num_tangents(self) -> int:
         return self.tangent.shape[0]
 
-    def __add__(self, other):
-        return dual_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return dual_sub(self, other)
-
-    def __rsub__(self, other):
-        return dual_sub(other, self)
-
-    def __mul__(self, other):
-        return dual_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return dual_matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return dual_matmul(other, self)
-
-    def __neg__(self):
-        return DualBatch(-self.value, -self.tangent)
-
 
 def _is_dual(x) -> bool:
     return isinstance(x, DualBatch)
@@ -92,17 +67,6 @@ def dual_add(a, b) -> DualBatch:
         return DualBatch(v, _fit(a.tangent, v, a.num_tangents))
     v = as_tensor(a) + b.value
     return DualBatch(v, _fit(b.tangent, v, b.num_tangents))
-
-
-def dual_sub(a, b) -> DualBatch:
-    if _is_dual(a) and _is_dual(b):
-        v = a.value - b.value
-        return DualBatch(v, _fit(a.tangent - b.tangent, v, a.num_tangents))
-    if _is_dual(a):
-        v = a.value - as_tensor(b)
-        return DualBatch(v, _fit(a.tangent, v, a.num_tangents))
-    v = as_tensor(a) - b.value
-    return DualBatch(v, _fit(-b.tangent, v, b.num_tangents))
 
 
 def dual_mul(a, b) -> DualBatch:
@@ -139,10 +103,6 @@ def dual_matmul(a, b, row_stable: bool = False) -> DualBatch:
 
 def dual_sin(a: DualBatch) -> DualBatch:
     return DualBatch(tape.sin(a.value), tape.cos(a.value) * a.tangent)
-
-
-def dual_cos(a: DualBatch) -> DualBatch:
-    return DualBatch(tape.cos(a.value), -(tape.sin(a.value) * a.tangent))
 
 
 def dual_reshape(a: DualBatch, shape) -> DualBatch:
@@ -192,10 +152,3 @@ def jacobian_fwd(fn, alpha) -> Tensor:
         raise ValueError(f"jacobian_fwd needs n >= k, got n={n} < k={k}")
     return tape.transpose(tape.reshape(out.tangent, (k, n)))
 
-
-def jvp(fn, alpha, v) -> Tensor:
-    """Single-tangent directional derivative of ``fn`` at ``alpha`` along ``v``."""
-    a = as_tensor(alpha)
-    seed = np.asarray(v, dtype=np.float64).reshape((1, *a.shape))
-    out = fn(DualBatch(a, constant(seed)))
-    return tape.reshape(out.tangent, out.value.shape)

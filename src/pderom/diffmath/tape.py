@@ -12,13 +12,13 @@ package must compose only from the operations defined in this module
 ==============================  =============================================
 add, sub, mul, div, neg         elementwise with numpy broadcasting
 pow_const                       x**p for a constant scalar exponent
-exp, log, sqrt, sin, cos        elementwise transcendentals
+exp, sqrt, sin, cos             elementwise transcendentals
 sigmoid, softplus               numerically stable forms
 maximum, minimum                elementwise extrema (ties route to the
                                 first argument)
 matmul                          last-two-axes contraction, operands ndim >= 2
 sum_, mean_                     reductions over given axes
-reshape, transpose, swapaxes    shape manipulation
+reshape, transpose              shape manipulation
 concat                          concatenation along an axis
 take_rows                       fancy indexing along axis 0
 take_along                      per-row gather (np.take_along_axis, last axis
@@ -39,7 +39,6 @@ the exact node that created it.
 
 from __future__ import annotations
 
-import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Mapping, Sequence
@@ -51,7 +50,6 @@ __all__ = [
     "DiffmathError",
     "NonFiniteError",
     "no_grad",
-    "grad_enabled",
     "as_tensor",
     "constant",
     "parameter",
@@ -78,11 +76,6 @@ _state = threading.local()
 
 def _grad_on() -> bool:
     return getattr(_state, "grad", True)
-
-
-def grad_enabled() -> bool:
-    """Whether newly created operations record derivatives."""
-    return _grad_on()
 
 
 @contextmanager
@@ -185,10 +178,7 @@ def parameter(x) -> Tensor:
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
-    # Summation is cheaper than isfinite().all() and is non-finite whenever
-    # the data holds a NaN or an infinity; a sum that overflows on finite
-    # data is confirmed element by element before raising.
-    if not math.isfinite(float(data.sum())) and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NonFiniteError(op)
 
 
@@ -294,13 +284,6 @@ def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
     return _make(out, (a,), lambda g: (g * out,), "exp")
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.log(a.data)
-    return _make(out, (a,), lambda g: (g / a.data,), "log")
 
 
 def sqrt(a) -> Tensor:
@@ -466,12 +449,6 @@ def transpose(a, axes=None) -> Tensor:
     else:
         inv = tuple(np.argsort(axes))
     return _make(out, (a,), lambda g: (np.transpose(g, inv),), "transpose")
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-    out = np.swapaxes(a.data, ax1, ax2)
-    return _make(out, (a,), lambda g: (np.swapaxes(g, ax1, ax2),), "swapaxes")
 
 
 def concat(parts: Sequence, axis: int = -1) -> Tensor:

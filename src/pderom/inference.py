@@ -11,7 +11,7 @@ can be decoded at any target time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +52,6 @@ class InversionConfig:
 class IntegratorConfig:
     rtol: float = 1e-5
     atol: float = 1e-6
-    max_steps: int = 100_000
-    dt_init: float | None = None  # default: first target spacing
-    safety: float = 0.9
-    min_factor: float = 0.2
-    max_factor: float = 5.0
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
@@ -123,6 +118,11 @@ _DECODE_ELEMENTS = 1 << 21
 _BS_C = (0.0, 0.5, 0.75, 1.0)
 _BS_B_HIGH = (2.0 / 9.0, 1.0 / 3.0, 4.0 / 9.0, 0.0)
 _BS_B_ERR = (-5.0 / 72.0, 1.0 / 12.0, 1.0 / 9.0, -1.0 / 8.0)  # high minus low
+# step-size controller: safety factor, per-step growth limits, step budget
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
+_MAX_STEPS = 100_000
 
 
 def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
@@ -134,7 +134,7 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
     accepted steps is the cubic Hermite interpolant, third-order
     accurate for this pair.  Step sizes follow a PI controller on the
     embedded error estimate with rejection when the estimate exceeds
-    tolerance.
+    tolerance; the first step goes to the first target after ``t0``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 1 or len(targets) == 0:
@@ -163,15 +163,11 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
     if write == len(targets):
         return out
 
-    span = targets[-1] - t
-    dt = integrator.dt_init if integrator.dt_init is not None else (
-        targets[0] - t if targets[0] > t else span / max(len(targets), 1)
-    )
-    dt = min(max(dt, 1e-12), span)
+    dt = targets[write] - t
     err_prev = 1.0
     order = 3.0
 
-    for _ in range(integrator.max_steps):
+    for _ in range(_MAX_STEPS):
         dt = min(dt, targets[-1] - t)
         k2 = f(y + dt * 0.5 * k1)
         k3 = f(y + dt * 0.75 * k2)
@@ -200,14 +196,14 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
             if write == len(targets):
                 return out
             t, y, k1 = t_new, y_new, k4
-            factor = integrator.safety * err ** (-0.7 / order) * err_prev ** (0.4 / order)
+            factor = _SAFETY * err ** (-0.7 / order) * err_prev ** (0.4 / order)
             err_prev = max(err, 1e-10)
         else:
-            factor = integrator.safety * err ** (-1.0 / order)
-        dt *= min(max(factor, integrator.min_factor), integrator.max_factor)
+            factor = _SAFETY * err ** (-1.0 / order)
+        dt *= min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
         if dt <= 1e-14:
             raise IntegrationError(t, "step size underflow")
-    raise IntegrationError(t, f"max_steps = {integrator.max_steps} exhausted")
+    raise IntegrationError(t, f"max_steps = {_MAX_STEPS} exhausted")
 
 
 def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
@@ -230,8 +226,6 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     Xq = model.spec.grid.coords() if query_grid is None else np.asarray(query_grid)
     times = np.asarray(times, dtype=np.float64)
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)
-    if integrator.dt_init is None:
-        integrator = replace(integrator, dt_init=model.snapshot_dt)
     codes = integrate(
         model.dynamics_config, model.dynamics_params, alpha0,
         times[0], times, beta=beta, integrator=integrator,

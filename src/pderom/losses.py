@@ -21,6 +21,7 @@ the reference definitions it is tested against, values and gradients.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,19 +278,12 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
     rate = time_derivative(spec, dm.reshape(u_dyn, (b, *spec.grid.shape)), beta_t)
     rate_sub = dm.take_along(dm.reshape(rate, (b, n)), subset_idx, axis=1)
 
-    if warmup:
-        with no_grad():
-            jac = _dynamics_jacobian(
-                dec_config, dec_params, alpha_b, spec, subset_idx, affine
-            )
-            target = qr_lstsq(jac, rate_sub)
-        alpha_in = stop_gradient(alpha_b)
-    else:
+    with no_grad() if warmup else nullcontext():
         jac = _dynamics_jacobian(
             dec_config, dec_params, alpha_b, spec, subset_idx, affine
         )
         target = qr_lstsq(jac, rate_sub)
-        alpha_in = alpha_b
+    alpha_in = stop_gradient(alpha_b) if warmup else alpha_b
 
     pred = dynamics_eval(dyn_config, dyn_params, alpha_in, beta_t)
     dyn = latent_rnmse(pred, target)

@@ -53,6 +53,23 @@ def saved(tmp_path, dataset, name="ds.pdrm"):
     return path
 
 
+def edit_keys(path, where, key, change):
+    """Rewrite a container's header: in the entry reached by the keys
+    ``where``, delete ``key`` (``change == "missing"``) or add an unknown key."""
+    blob = path.read_bytes()
+    end = 20 + int(np.frombuffer(blob[12:20], dtype="<u8")[0])
+    header = json.loads(blob[20:end])
+    entry = header
+    for name in where:
+        entry = entry[name]
+    if change == "missing":
+        del entry[key]
+    else:
+        entry["unknown"] = 1
+    payload = data._canonical(header)
+    path.write_bytes(blob[:12] + np.uint64(len(payload)).tobytes() + payload + blob[end:])
+
+
 class TestGeneration:
     def test_burgers_shapes_and_splits(self, burgers):
         assert [len(burgers.train), len(burgers.test), len(burgers.val)] == [8, 9, 0]
@@ -168,6 +185,7 @@ class TestContainer:
                 rejected += 1
         assert rejected > 0.8 * header_end  # most flips break the header
 
+    # each key is a field with a default, which used to fill in when missing
     @pytest.mark.parametrize("config,key", [("decoder_config", "omega0"),
                                             ("dynamics_config", "param_dim"),
                                             ("training_config", "log_every")])
@@ -175,18 +193,25 @@ class TestContainer:
     def test_config_keys_must_match_fields(self, tmp_path, config, key, change):
         path = tmp_path / "m.pdrm"
         data.save_model(small_model(), path)
-        blob = path.read_bytes()
-        end = 20 + int(np.frombuffer(blob[12:20], dtype="<u8")[0])
-        header = json.loads(blob[20:end])
-        if change == "missing":  # a field with a default, which used to fill in
-            del header[config][key]
-        else:
-            header[config]["unknown"] = 1
-        payload = data._canonical(header)
-        path.write_bytes(blob[:12] + np.uint64(len(payload)).tobytes() + payload
-                         + blob[end:])
+        edit_keys(path, [config], key, change)
         with pytest.raises(FormatError, match=r"Config header: missing"):
             data.load_model(path)
+
+    @pytest.mark.parametrize("kind", ["dataset", "model"])
+    @pytest.mark.parametrize("cls,where,key", [("SolverSpec", ["spec"], "derivative_steps"),
+                                               ("Grid", ["spec", "grid"], "shape")])
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_spec_keys_must_match_fields(self, tmp_path, kind, cls, where, key, change):
+        path = tmp_path / "x.pdrm"
+        if kind == "dataset":
+            data.save_dataset(small_dataset(), path)
+            load = data.load_dataset
+        else:
+            data.save_model(small_model(), path)
+            load = data.load_model
+        edit_keys(path, where, key, change)
+        with pytest.raises(FormatError, match=rf"{cls} header: missing"):
+            load(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):
         path = saved(tmp_path, small_dataset())

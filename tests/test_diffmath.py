@@ -1,10 +1,12 @@
 """Tape, dual-batch, and least-squares primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pderom import diffmath as dm
-from pderom.diffmath import DualBatch, jacobian_fwd, jvp, qr_lstsq
+from pderom.diffmath import DualBatch, jacobian_fwd, qr_lstsq
 
 from helpers import fd_check_params, fd_gradient, normal_equations_lstsq
 
@@ -62,14 +64,15 @@ class TestGrad:
 
     def test_nonfinite_intermediate_names_operation(self):
         def loss(p):
-            return dm.sum_(dm.log(p["x"]))
+            return dm.sum_(dm.sqrt(p["x"]))
 
-        with pytest.raises(dm.NonFiniteError, match="log"):
+        with pytest.raises(dm.NonFiniteError, match="sqrt"):
             dm.grad(loss, {"x": dm.constant([1.0, -1.0])})
 
     def test_finite_values_with_overflowing_sum_pass(self):
-        # the cheap sum check overflows to inf here; the data is finite
-        with np.errstate(over="ignore"):
+        # the sum of this finite data overflows; no check or warning may fire
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = dm.add([1e308, 1e308], [0.0, 0.0])
         np.testing.assert_array_equal(out.data, [1e308, 1e308])
 
@@ -244,22 +247,6 @@ class TestJacobianFwd:
             dm.constant(rng.normal(size=3)),
         )
         np.testing.assert_allclose(J.data, A, rtol=1e-14)
-
-    def test_jvp_consistency(self):
-        rng = np.random.default_rng(10)
-        W = rng.normal(size=(4, 7))
-
-        def fn(d):
-            return dm.sin(dm.matmul(dm.reshape(d, (1, 4)), dm.constant(W)))
-
-        alpha = rng.normal(size=4)
-        J = jacobian_fwd(lambda d: fn(d), dm.constant(alpha))
-        for _ in range(5):
-            v = rng.normal(size=4)
-            direct = jvp(fn, dm.constant(alpha), v)
-            np.testing.assert_allclose(
-                J.data @ v, direct.data.reshape(-1), atol=1e-12
-            )
 
     def test_nonlinear_matches_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -93,6 +93,16 @@ def test_integrate_matches_a_linear_ode():
     assert calls.count(1e-3) / 3 < (len(times) - 1) / 2
 
 
+def test_integrate_from_a_target_at_t0_steps_to_the_next_target():
+    config = DynamicsConfig(latent_dim=3, layers=2, width=6)
+    params = {k: v.data for k, v in init_dynamics(config, seed=5).items()}
+    alpha0 = np.array([0.4, -0.2, 0.9])
+    times = 0.25 + 0.1 * np.arange(8)
+    whole = integrate(config, params, alpha0, times[0], times)
+    rest = integrate(config, params, alpha0, times[0], times[1:])
+    assert whole.tobytes() == np.vstack([alpha0, rest]).tobytes()
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A dataset and, per architecture, a model and its saved file."""
