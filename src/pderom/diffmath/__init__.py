@@ -1,25 +1,51 @@
-"""Dense float64 tensor math with reverse- and forward-mode derivatives.
+"""Dense float64 tensor math with reverse-mode derivatives.
 
-Networks and solvers import the dispatching functions below and work on
-either :class:`Tensor` (reverse mode) or :class:`DualBatch` (forward
-tangents riding on the reverse tape) without caring which one they got.
+Networks and solvers call the operations as ``dm.<op>``: the functions
+of :mod:`~pderom.diffmath.tape`, re-exported as they are, plus the
+composed :func:`norm2`.  :class:`DualBatch` is the value-plus-tangents
+pair that :func:`pderom.networks.decode` takes and returns for code
+Jacobians.
 """
 
-from . import dual as _dual
-from . import tape as _tape
-from .dual import DualBatch, jacobian_fwd
+from .dual import DualBatch
 from .lstsq import RANK_RTOL, SingularSystemError, qr_lstsq
 from .tape import (
     DiffmathError,
     NonFiniteError,
     Tensor,
+    add,
     as_tensor,
     backward,
+    broadcast_to,
+    concat,
     constant,
+    cos,
+    div,
+    exp,
     grad,
+    matmul,
+    maximum,
+    mean_,
+    minimum,
+    mul,
     no_grad,
+    pad_zero,
     parameter,
+    pow_const,
+    reshape,
+    sigmoid,
+    sin,
+    sin_shift,
+    sine_affine,
+    slice_,
+    softplus,
+    sqrt,
     stop_gradient,
+    sub,
+    sum_,
+    take_along,
+    take_rows,
+    transpose,
 )
 
 __all__ = [
@@ -36,13 +62,11 @@ __all__ = [
     "grad",
     "no_grad",
     "stop_gradient",
-    "jacobian_fwd",
     "qr_lstsq",
     "add",
     "sub",
     "mul",
     "div",
-    "neg",
     "pow_const",
     "exp",
     "sqrt",
@@ -67,65 +91,6 @@ __all__ = [
     "pad_zero",
     "norm2",
 ]
-
-
-def _dispatch(tape_fn, dual_fn):
-    def op(x, *args, **kwargs):
-        if isinstance(x, DualBatch):
-            return dual_fn(x, *args, **kwargs)
-        return tape_fn(x, *args, **kwargs)
-
-    op.__name__ = tape_fn.__name__
-    op.__doc__ = tape_fn.__doc__
-    return op
-
-
-def _dual_aware_binary(tape_fn, dual_fn):
-    def op(a, b, *args, **kwargs):
-        if isinstance(a, DualBatch) or isinstance(b, DualBatch):
-            return dual_fn(a, b, *args, **kwargs)
-        return tape_fn(a, b, *args, **kwargs)
-
-    op.__name__ = tape_fn.__name__
-    op.__doc__ = tape_fn.__doc__
-    return op
-
-
-add = _dual_aware_binary(_tape.add, _dual.dual_add)
-mul = _dual_aware_binary(_tape.mul, _dual.dual_mul)
-matmul = _dual_aware_binary(_tape.matmul, _dual.dual_matmul)
-sin = _dispatch(_tape.sin, _dual.dual_sin)
-reshape = _dispatch(_tape.reshape, _dual.dual_reshape)
-
-
-def concat(parts, axis: int = -1):
-    if any(isinstance(p, DualBatch) for p in parts):
-        return _dual.dual_concat(parts, axis)
-    return _tape.concat(parts, axis)
-
-
-# reverse-mode only
-sub = _tape.sub
-div = _tape.div
-neg = _tape.neg
-pow_const = _tape.pow_const
-exp = _tape.exp
-sqrt = _tape.sqrt
-cos = _tape.cos
-sigmoid = _tape.sigmoid
-softplus = _tape.softplus
-maximum = _tape.maximum
-minimum = _tape.minimum
-sum_ = _tape.sum_
-mean_ = _tape.mean_
-transpose = _tape.transpose
-broadcast_to = _tape.broadcast_to
-sine_affine = _tape.sine_affine
-sin_shift = _tape.sin_shift
-take_rows = _tape.take_rows
-take_along = _tape.take_along
-slice_ = _tape.slice_
-pad_zero = _tape.pad_zero
 
 
 def norm2(x, axis=-1):

@@ -10,7 +10,7 @@ package must compose only from the operations defined in this module
 (plus the least-squares primitive in :mod:`pderom.diffmath.lstsq`):
 
 ==============================  =============================================
-add, sub, mul, div, neg         elementwise with numpy broadcasting
+add, sub, mul, div              elementwise with numpy broadcasting
 pow_const                       x**p for a constant scalar exponent
 exp, sqrt, sin, cos             elementwise transcendentals
 sigmoid, softplus               numerically stable forms
@@ -153,9 +153,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -262,11 +259,6 @@ def div(a, b) -> Tensor:
         )
 
     return _make(out, (a, b), vjp, "div")
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def pow_const(a, p) -> Tensor:

@@ -46,6 +46,8 @@ class InversionConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("inversion needs at least one step")
+        if self.lr <= 0:
+            raise ValueError("inversion lr must be positive")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from .networks import (
     DynamicsConfig,
     affine_decomposition,
     decode,
+    decode_jacobian,
     dynamics_eval,
 )
 from .solvers import SolverSpec, time_derivative
@@ -172,9 +173,7 @@ def compute_alpha_dot_star(config: DecoderConfig, params: dict, alpha,
     u_hat = decode(config, params, alpha, X)  # (N, 1)
     rate = time_derivative(spec, dm.reshape(u_hat, spec.grid.shape), beta)
     rate_sub = dm.take_rows(dm.reshape(rate, (n,)), subset.indices)
-    jac = dm.jacobian_fwd(
-        lambda a: decode(config, params, a, X[subset.indices]), alpha
-    )
+    jac = decode_jacobian(config, params, alpha, X[subset.indices])
     return qr_lstsq(jac, rate_sub)
 
 

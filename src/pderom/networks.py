@@ -10,7 +10,9 @@ field values, one coordinate at a time (mesh-free):
   added by angle addition (``dm.sin_shift``), so its sines run once per
   grid point and once per code instead of once per (code, point) pair.
   :func:`grid_decoder` computes the grid part once for many codes.
-  Forward-mode (DualBatch) decodes keep the concatenated form.
+  Code tangents (``decode`` of a DualBatch) run the concatenated
+  ``[x, alpha]`` first layer, because each snapshot may bring its own
+  points.
 * ``hyper`` - trig-modulated layers
   ``(W z + b + W' alpha) * [cos(freq x), sin(freq x)]`` where the latent
   code enters only through the per-layer bias shift ``W' alpha`` and the
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import DualBatch, Tensor, constant, jacobian_fwd
+from .diffmath import DualBatch, Tensor, constant
 
 __all__ = [
     "DecoderConfig",
@@ -74,6 +76,8 @@ class DecoderConfig:
             raise ValueError("hyper decoder width must be even (cos/sin split)")
         if len(self.coord_lo) not in (0, self.coord_dim) or len(self.coord_hi) != len(self.coord_lo):
             raise ValueError("coordinate bounds must match coord_dim or be empty")
+        if any(hi <= lo for lo, hi in zip(self.coord_lo, self.coord_hi)):
+            raise ValueError("coord_hi must exceed coord_lo on every axis")
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
         """Map physical coordinates into [-1, 1] per axis."""
@@ -160,43 +164,25 @@ def init_dynamics(config: DynamicsConfig, seed: int) -> dict[str, Tensor]:
     return {name: Tensor(v) for name, v in params.items()}
 
 
-def _alpha_shape(alpha):
-    v = alpha.value if isinstance(alpha, DualBatch) else alpha
-    return v.shape
-
-
-def _rows_from_code(alpha, n_rows: int, rs: bool):
-    """Tile a code (..., k) into per-coordinate rows (..., n_rows, k)."""
-    shape = _alpha_shape(alpha)
-    k = shape[-1]
-    ones = constant(np.ones((n_rows, 1)))
-    flat = dm.reshape(alpha, (*shape[:-1], 1, k))
-    return dm.matmul(ones, flat, rs)
-
-
-def _coord_rows(xn: np.ndarray, alpha) -> np.ndarray:
-    """Coordinate block shaped to match the tiled code rows."""
-    shape = _alpha_shape(alpha)
-    if xn.ndim == 2 and len(shape) == 2:
-        return np.broadcast_to(xn, (shape[0], *xn.shape))
-    return xn
-
-
 def hyper_layer(z, x_trig, layer: dict, alpha, final: bool = False,
                 rs: bool = True):
     """One trig-modulated layer: ``(W z + b + Wm alpha) * [cos, sin]``.
 
     ``x_trig`` is the precomputed modulation vector ``[cos(freq x),
     sin(freq x)]`` for this layer (ignored when ``final``, where the
-    layer reduces to the affine part).  ``alpha`` may be a Tensor or a
-    DualBatch; the bias shift is linear in it either way.
+    layer reduces to the affine part).  The code enters only through the
+    bias shift ``Wm alpha``.
     """
-    shape = _alpha_shape(alpha)
+    shape = alpha.shape
     mu = dm.matmul(dm.reshape(alpha, (*shape[:-1], 1, shape[-1])), layer["Wm"], rs)
     pre = dm.add(dm.add(dm.matmul(z, layer["W"], rs), layer["b"]), mu)
     if final:
         return pre
     return dm.mul(pre, x_trig)
+
+
+def _layer(params: dict, name: str) -> dict:
+    return {key: params[f"{name}.{key}"] for key in ("W", "b", "Wm")}
 
 
 def _hyper_trig(params, xn_t: Tensor, i: int, rs: bool) -> Tensor:
@@ -214,8 +200,8 @@ def _normalized_coords(config: DecoderConfig, X) -> np.ndarray:
     return config.normalize(X)
 
 
-def _check_code(config: DecoderConfig, alpha) -> tuple:
-    shape = _alpha_shape(alpha)
+def _check_code(config: DecoderConfig, alpha: Tensor) -> tuple:
+    shape = alpha.shape
     if shape[-1] != config.latent_dim:
         raise ValueError(
             f"latent code has dimension {shape[-1]}, expected {config.latent_dim}"
@@ -275,51 +261,100 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
            fast: bool = False):
     """Evaluate the decoder on every coordinate of ``X``.
 
-    ``alpha`` is a Tensor of shape (k,) or (B, k) - or a DualBatch of
-    either - and ``X`` is (N, d) physical coordinates shared by the
-    batch, or (B, N, d) per-snapshot grids.  Rows of the output are
-    computed independently; permuting ``X`` permutes the rows, exactly.
+    ``alpha`` is a Tensor of shape (k,) or (B, k), and ``X`` is (N, d)
+    physical coordinates shared by the batch, or (B, N, d) per-snapshot
+    grids.  Rows of the output are computed independently; permuting
+    ``X`` permutes the rows, exactly.
 
     ``fast=True`` switches the matmuls to blocked BLAS kernels: a few
     ulps of rounding may then depend on row position, which training
     and inversion loops accept in exchange for an order of magnitude
     in throughput.
 
-    A siren with a Tensor code runs :func:`grid_decoder`; with a
-    DualBatch it runs the composed first layer on ``[x, alpha]``.
+    A siren runs :func:`grid_decoder`.  Given a ``DualBatch(alpha, T)``
+    with tangents T of shape (K, *alpha.shape), ``decode`` returns
+    ``DualBatch(u, dU)``: the field and its K directional derivatives
+    along T, see :func:`_decode_dual`.
     """
-    if config.architecture == "siren" and not isinstance(alpha, DualBatch):
+    if isinstance(alpha, DualBatch):
+        return _decode_dual(config, params, alpha, X, fast)
+    if config.architecture == "siren":
         return grid_decoder(config, params, X, fast)(alpha)
     xn = _normalized_coords(config, X)
     _check_code(config, alpha)
-    n = xn.shape[-2]
     rs = not fast
-
-    if config.architecture == "siren":
-        rows = _rows_from_code(alpha, n, rs)
-        z = dm.concat([constant(_coord_rows(xn, alpha)), rows], axis=-1)
-        for i in range(config.layers):
-            pre = dm.add(dm.matmul(z, params[f"l{i}.W"], rs), params[f"l{i}.b"])
-            z = dm.sin(dm.mul(pre, constant(np.float64(config.omega0))))
-        return dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
-
     xn_t = constant(xn)
     z = xn_t
     for i in range(config.layers):
         trig = _hyper_trig(params, xn_t, i, rs)
-        layer = {key: params[f"l{i}.{key}"] for key in ("W", "b", "Wm")}
-        z = hyper_layer(z, trig, layer, alpha, rs=rs)
-    out_layer = {key: params[f"out.{key}"] for key in ("W", "b", "Wm")}
-    return hyper_layer(z, None, out_layer, alpha, final=True, rs=rs)
+        z = hyper_layer(z, trig, _layer(params, f"l{i}"), alpha, rs=rs)
+    return hyper_layer(z, None, _layer(params, "out"), alpha, final=True, rs=rs)
+
+
+def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
+                 X: np.ndarray, fast: bool) -> DualBatch:
+    """The field and its code tangents, by the chain rule written out.
+
+    Each tangent ``dz`` is carried layer by layer as tape ops, so it stays
+    differentiable in reverse mode (forward-over-reverse).  The code
+    enters through a (K, ..., 1, width) term broadcast over the points:
+    siren's ``T @ W_a`` of the first layer's code rows, hyper's
+    ``T @ Wm`` of every bias shift.  A sine layer maps
+    ``dz -> cos(pre) * ((dz @ W) * omega0)``, a hyper layer
+    ``dz -> (dz @ W + T @ Wm) * trig``.
+    """
+    a = alpha.value
+    xn = _normalized_coords(config, X)
+    shape = _check_code(config, a)
+    rs = not fast
+    a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
+    T = dm.reshape(alpha.tangent, (alpha.num_tangents, *a_row.shape))
+
+    if config.architecture == "siren":
+        # value through the concatenated [x, alpha] first layer: every
+        # snapshot may come with its own points, so no grid part is shared
+        omega0 = constant(np.float64(config.omega0))
+        n, d = xn.shape[-2], config.coord_dim
+        z = dm.concat([constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
+                       dm.matmul(constant(np.ones((n, 1))), a_row, rs)], axis=-1)
+        W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
+        dz = T
+        for i in range(config.layers):
+            W = params[f"l{i}.W"]
+            dz = dm.matmul(dz, W if i else W_a, rs)
+            pre = dm.mul(dm.add(dm.matmul(z, W, rs), params[f"l{i}.b"]), omega0)
+            z = dm.sin(pre)
+            dz = dm.mul(dm.cos(pre), dm.mul(dz, omega0))
+        u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
+        return DualBatch(u, dm.matmul(dz, params["out.W"], rs))
+
+    xn_t = constant(xn)
+    z, dz = xn_t, None
+    for i in range(config.layers):
+        layer = _layer(params, f"l{i}")
+        trig = _hyper_trig(params, xn_t, i, rs)
+        shift = dm.matmul(T, layer["Wm"], rs)
+        dpre = shift if dz is None else dm.add(dm.matmul(dz, layer["W"], rs), shift)
+        z = hyper_layer(z, trig, layer, a, rs=rs)
+        dz = dm.mul(dpre, trig)
+    out = _layer(params, "out")
+    u = hyper_layer(z, None, out, a, final=True, rs=rs)
+    return DualBatch(u, dm.add(dm.matmul(dz, out["W"], rs), dm.matmul(T, out["Wm"], rs)))
 
 
 def decode_jacobian(config: DecoderConfig, params: dict, alpha, X: np.ndarray) -> Tensor:
-    """Jacobian of the flattened decoder output w.r.t. a single code.
+    """Jacobian (N*m, k) of the flattened decoder output w.r.t. one code.
 
-    Forward-mode with one tangent per latent dimension; the result stays
-    differentiable w.r.t. the decoder parameters and the code.
+    Decodes ``DualBatch(alpha, eye(k))``: one unit tangent per latent
+    dimension.  The result stays differentiable w.r.t. the decoder
+    parameters and the code.
     """
-    return jacobian_fwd(lambda d: decode(config, params, d, X), alpha)
+    a = dm.as_tensor(alpha)
+    if a.ndim != 1:
+        raise ValueError(f"decode_jacobian expects a rank-1 code, got shape {a.shape}")
+    k = a.shape[0]
+    out = decode(config, params, DualBatch(a, constant(np.eye(k))), X)
+    return dm.transpose(dm.reshape(out.tangent, (k, -1)))
 
 
 def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,

@@ -79,6 +79,8 @@ class Grid:
             raise ValueError("lo, hi, shape must agree in length")
         if any(n < 2 for n in self.shape):
             raise ValueError("need at least two points per axis")
+        if any(hi <= lo for lo, hi in zip(self.lo, self.hi)):
+            raise ValueError(f"grid bounds need hi > lo on every axis: {self.lo}, {self.hi}")
 
     @property
     def ndim(self) -> int:

@@ -65,8 +65,11 @@ class TrainingConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.warmup_epochs > self.epochs:
-            raise ValueError("warmup_epochs must not exceed epochs")
+        for name in ("epochs", "decay_every", "checkpoint_every", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.warmup_epochs <= self.epochs:
+            raise ValueError("warmup_epochs must lie in [0, epochs]")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
         if self.batch_size < 1:

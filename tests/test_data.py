@@ -53,9 +53,20 @@ def saved(tmp_path, dataset, name="ds.pdrm"):
     return path
 
 
+def saved_container(tmp_path, kind):
+    """A small dataset or model saved under ``tmp_path``, and its loader."""
+    path = tmp_path / "x.pdrm"
+    if kind == "dataset":
+        data.save_dataset(small_dataset(), path)
+        return path, data.load_dataset
+    data.save_model(small_model(), path)
+    return path, data.load_model
+
+
 def edit_keys(path, where, key, change):
     """Rewrite a container's header: in the entry reached by the keys
-    ``where``, delete ``key`` (``change == "missing"``) or add an unknown key."""
+    ``where``, delete ``key`` (``change == "missing"``), add an unknown key
+    (``"extra"``) or set ``key`` to the value ``change``."""
     blob = path.read_bytes()
     end = 20 + int(np.frombuffer(blob[12:20], dtype="<u8")[0])
     header = json.loads(blob[20:end])
@@ -64,8 +75,10 @@ def edit_keys(path, where, key, change):
         entry = entry[name]
     if change == "missing":
         del entry[key]
-    else:
+    elif change == "extra":
         entry["unknown"] = 1
+    else:
+        entry[key] = change
     payload = data._canonical(header)
     path.write_bytes(blob[:12] + np.uint64(len(payload)).tobytes() + payload + blob[end:])
 
@@ -164,13 +177,7 @@ class TestContainer:
     def test_header_bit_flips_load_or_raise_format_error(self, tmp_path, kind):
         # The array bytes carry no checksum, so only flips in the prefix and
         # header are covered: each must load or raise FormatError.
-        path = tmp_path / "x.pdrm"
-        if kind == "dataset":
-            data.save_dataset(small_dataset(), path)
-            load = data.load_dataset
-        else:
-            data.save_model(small_model(), path)
-            load = data.load_model
+        path, load = saved_container(tmp_path, kind)
         blob = bytearray(path.read_bytes())
         header_end = 20 + int(np.frombuffer(bytes(blob[12:20]), dtype="<u8")[0])
         bad = tmp_path / "bad.pdrm"
@@ -202,15 +209,22 @@ class TestContainer:
                                                ("Grid", ["spec", "grid"], "shape")])
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_spec_keys_must_match_fields(self, tmp_path, kind, cls, where, key, change):
-        path = tmp_path / "x.pdrm"
-        if kind == "dataset":
-            data.save_dataset(small_dataset(), path)
-            load = data.load_dataset
-        else:
-            data.save_model(small_model(), path)
-            load = data.load_model
+        path, load = saved_container(tmp_path, kind)
         edit_keys(path, where, key, change)
         with pytest.raises(FormatError, match=rf"{cls} header: missing"):
+            load(path)
+
+    # hi equal to lo on one axis: the loaded Grid or DecoderConfig rejects it
+    @pytest.mark.parametrize("kind,where,key,bound", [
+        ("dataset", ["spec", "grid"], "hi", [-20.0, 20.0]),
+        ("model", ["spec", "grid"], "hi", [0.0]),
+        ("model", ["decoder_config"], "coord_hi", [0.0]),
+    ])
+    def test_empty_coordinate_range_raises_format_error(self, tmp_path, kind, where,
+                                                        key, bound):
+        path, load = saved_container(tmp_path, kind)
+        edit_keys(path, where, key, bound)
+        with pytest.raises(FormatError, match="hi > lo|coord_hi must exceed"):
             load(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):

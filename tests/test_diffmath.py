@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pderom import diffmath as dm
-from pderom.diffmath import DualBatch, jacobian_fwd, qr_lstsq
+from pderom.diffmath import DualBatch, qr_lstsq
 
 from helpers import fd_check_params, fd_gradient, normal_equations_lstsq
 
@@ -234,66 +234,14 @@ class TestPrimitives:
         assert y.parents == () and not y.requires_grad
 
 
-class TestJacobianFwd:
-    def test_identity_map(self):
-        J = jacobian_fwd(lambda d: d, dm.constant(np.array([1.0, -2.0, 0.5])))
-        np.testing.assert_array_equal(J.data, np.eye(3))
-
-    def test_linear_map_recovers_matrix(self):
-        rng = np.random.default_rng(9)
-        A = rng.normal(size=(6, 3))
-        J = jacobian_fwd(
-            lambda d: dm.reshape(dm.matmul(dm.constant(A), dm.reshape(d, (3, 1))), (6,)),
-            dm.constant(rng.normal(size=3)),
-        )
-        np.testing.assert_allclose(J.data, A, rtol=1e-14)
-
-    def test_nonlinear_matches_finite_differences(self):
-        rng = np.random.default_rng(11)
-        W1 = rng.normal(size=(5, 16))
-        W2 = rng.normal(size=(16, 8))
-
-        def fn_np(a):
-            return np.sin(np.sin(a.reshape(1, 5) @ W1) @ W2).reshape(-1)
-
-        def fn_dual(d):
-            h = dm.sin(dm.matmul(dm.reshape(d, (1, 5)), dm.constant(W1)))
-            return dm.sin(dm.matmul(h, dm.constant(W2)))
-
-        alpha = rng.normal(size=5) * 0.3
-        J = jacobian_fwd(fn_dual, dm.constant(alpha)).data
-        for j in range(5):
-            def coord(x, _j=j):
-                a = alpha.copy()
-                a[_j] = x[()]
-                return fn_np(a)
-            step = 1e-6
-            col = (coord(np.array(alpha[j] + step)) - coord(np.array(alpha[j] - step))) / (2 * step)
-            rel = np.abs(J[:, j] - col) / np.maximum(np.abs(col), 1e-8)
-            assert rel.max() <= 1e-6
-
-    def test_jacobian_entries_differentiable_in_reverse(self):
-        # forward-over-reverse: d/dW of sum(J) must match finite differences
-        rng = np.random.default_rng(12)
-        params = {"W": dm.constant(rng.normal(size=(3, 6)))}
-        alpha = rng.normal(size=3)
-
-        def loss(p):
-            J = jacobian_fwd(
-                lambda d: dm.sin(dm.matmul(dm.reshape(d, (1, 3)), p["W"])),
-                dm.constant(alpha),
-            )
-            return dm.sum_(J * J)
-
-        assert fd_check_params(loss, params) <= 1e-5
-
-    def test_underdetermined_rejected(self):
-        A = np.ones((3, 2))
-        with pytest.raises(ValueError, match="n >= k"):
-            jacobian_fwd(
-                lambda d: dm.reshape(dm.matmul(dm.reshape(d, (1, 3)), dm.constant(A)), (2,)),
-                dm.constant(np.zeros(3)),
-            )
+class TestDualBatch:
+    def test_tangent_must_stack_the_value_shape(self):
+        value = dm.constant(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="does not stack"):
+            DualBatch(value, dm.constant(np.zeros((3, 3, 2))))
+        with pytest.raises(ValueError, match="stack k copies"):
+            DualBatch(value, dm.constant(np.zeros((2, 3))))
+        assert DualBatch(value, dm.constant(np.zeros((4, 2, 3)))).num_tangents == 4
 
 
 class TestQrLstsq:

@@ -33,6 +33,12 @@ def test_non_finite_field_names_the_inversion_step():
     assert err.value.op == "sub"
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0])
+def test_inversion_config_rejects_non_positive_lr(lr):
+    with pytest.raises(ValueError, match="lr must be positive"):
+        InversionConfig(lr=lr)
+
+
 @pytest.mark.parametrize("arch", ["hyper", "siren"])
 def test_invert_recovers_a_known_code(arch):
     config = DecoderConfig(arch, latent_dim=3, layers=2, width=16, coord_dim=2,

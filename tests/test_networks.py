@@ -5,6 +5,7 @@ import pytest
 
 from pderom import diffmath as dm
 from pderom.diffmath import backward, constant
+from pderom.losses import _batched_jacobian_siren
 from pderom.networks import (
     DecoderConfig,
     DynamicsConfig,
@@ -23,6 +24,12 @@ SIREN = DecoderConfig("siren", latent_dim=3, layers=2, width=16, coord_dim=2,
                       out_channels=2, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
 HYPER = DecoderConfig("hyper", latent_dim=4, layers=2, width=12, coord_dim=2,
                       out_channels=1, coord_lo=(-1.0, -1.0), coord_hi=(1.0, 1.0))
+
+
+@pytest.mark.parametrize("hi", [(1.0, 0.0), (-1.0, 1.0)])
+def test_config_rejects_an_empty_coordinate_range(hi):
+    with pytest.raises(ValueError, match="coord_hi"):
+        DecoderConfig("hyper", 4, 2, 12, 2, coord_lo=(0.0, 0.0), coord_hi=hi)
 
 
 def reference_siren(params, config, alpha, X):
@@ -262,6 +269,47 @@ class TestJacobian:
             target = dm.sum_(dm.mul(flat, constant(np.eye(n)[row])))
             (g,) = backward(target, [leaf])
             np.testing.assert_allclose(J[row], g, atol=1e-10)
+
+    def test_batched_siren_jacobian_agrees_with_reverse_rows(self):
+        # per-snapshot coordinates (B, n, d), as the training loss draws them
+        params = init_decoder(SIREN, seed=9)
+        rng = np.random.default_rng(10)
+        codes = rng.normal(size=(3, SIREN.latent_dim)) * 0.3
+        coords = rng.uniform(0.0, 1.0, size=(3, 5, 2))
+        J = _batched_jacobian_siren(SIREN, params, constant(codes), coords).data
+        nm = 5 * SIREN.out_channels
+        assert J.shape == (3, nm, SIREN.latent_dim)
+        for b in range(3):
+            for row in range(nm):
+                leaf = dm.parameter(codes[b])
+                flat = dm.reshape(decode(SIREN, params, leaf, coords[b]), (nm,))
+                (g,) = backward(dm.sum_(dm.mul(flat, constant(np.eye(nm)[row]))), [leaf])
+                np.testing.assert_allclose(J[b, row], g, atol=1e-10)
+
+    @pytest.mark.parametrize("arch", ["siren", "hyper"])
+    def test_jacobian_differentiable_in_reverse(self, arch):
+        # forward-over-reverse: d sum(J * J) against finite differences,
+        # over the parameters and, for siren, the code (hyper's J is constant in it)
+        config = DecoderConfig(arch, latent_dim=3, layers=2, width=8, coord_dim=2,
+                               omega0=3.0, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0.0, 1.0, size=(7, 2))
+        params = init_decoder(config, seed=14)
+        alpha = constant(rng.normal(size=3) * 0.3)
+        if arch == "siren":
+            params["alpha"] = alpha
+
+        def loss(p):
+            J = decode_jacobian(config, p, p.get("alpha", alpha), X)
+            return dm.sum_(dm.mul(J, J))
+
+        assert fd_check_params(loss, params) <= 1e-5
+
+    def test_jacobian_rejects_a_batch_of_codes(self):
+        params = init_decoder(HYPER, seed=4)
+        with pytest.raises(ValueError, match="rank-1"):
+            decode_jacobian(HYPER, params, constant(np.zeros((2, HYPER.latent_dim))),
+                            np.zeros((4, 2)))
 
     def test_affine_decomposition_matches_decode(self):
         params = init_decoder(HYPER, seed=4)

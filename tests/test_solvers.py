@@ -285,6 +285,11 @@ class TestGrid:
         c[:] = 7.0
         np.testing.assert_array_equal(g.coords(), [[0.0], [0.5], [1.0]])
 
+    @pytest.mark.parametrize("hi", [(1.0, 10.0), (-1.0, 12.0)])
+    def test_bounds_must_increase_on_every_axis(self, hi):
+        with pytest.raises(ValueError, match="hi > lo"):
+            Grid(lo=(0.0, 10.0), hi=hi, shape=(2, 3))
+
     def test_spacing(self):
         assert BURG_GRID.spacing[0] == pytest.approx(100.0 / 255.0)
         assert DIFF_GRID.spacing == (pytest.approx(40.0 / 41.0),) * 2

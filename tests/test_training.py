@@ -63,3 +63,11 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
     rows = [int(r) for r in re.search(r"batch rows \[([\d, ]+)\]", str(err.value))
             .group(1).split(",")]
     assert 3 in rows and len(rows) <= 8
+
+
+@pytest.mark.parametrize("field,value", [("epochs", 0), ("decay_every", 0),
+                                         ("checkpoint_every", 0), ("log_every", 0),
+                                         ("warmup_epochs", -1)])
+def test_config_rejects_out_of_range_epoch_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
