@@ -2,10 +2,12 @@
 
 :func:`pderom.networks.decode` takes a :class:`DualBatch` of a code and
 its tangent directions and returns one of the field and its directional
-derivatives.  The tangents are ordinary tape tensors, so a Jacobian
-assembled this way stays differentiable in reverse mode
-(forward-over-reverse); this is what lets the training loss
-differentiate through the decoder Jacobian.
+derivatives.  It is the decoder's Jacobian API: with one unit tangent per
+latent, ``decode(config, params, DualBatch(alpha, constant(eye(k))), X)``
+returns the field and, as its tangent, the (k, N, m) transposed Jacobian.
+The tangents are ordinary tape tensors, so a Jacobian assembled this way
+stays differentiable in reverse mode (forward-over-reverse); this is what
+lets the training loss differentiate through the decoder Jacobian.
 """
 
 from __future__ import annotations

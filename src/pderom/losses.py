@@ -11,18 +11,17 @@ Everything stays on the tape, so the dynamics loss regularizes the
 decoder and the latent codes through the solver, not just the dynamics
 network.
 
-``batch_terms`` is the vectorized path used by training.  It computes
-the same quantities for a whole batch of snapshots at once and, for the
-hyper decoder, goes through the affine decomposition: one basis decode
-per step instead of one decode per snapshot, with identical math.  The
-per-snapshot functions (``reconstruction_loss`` to ``total_loss``) are
-the reference definitions it is tested against, values and gradients.
+:func:`batch_terms` is the one definition of both terms: training runs
+it on a whole batch of snapshots at once.  For the hyper decoder it goes
+through the affine decomposition, one basis decode per step that also
+supplies every Jacobian row; for siren one dual decode carries all code
+tangents.  The test suite checks it, values and gradients, against a
+per-snapshot reference built from the public primitives.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .networks import (
     DynamicsConfig,
     affine_decomposition,
     decode,
-    decode_jacobian,
     dynamics_eval,
 )
 from .solvers import SolverSpec, time_derivative
@@ -41,14 +39,8 @@ from .solvers import SolverSpec, time_derivative
 __all__ = [
     "NORM_GUARD",
     "DegenerateNormError",
-    "ReducedSample",
-    "draw_subset",
     "field_rnmse",
     "latent_rnmse",
-    "reconstruction_loss",
-    "compute_alpha_dot_star",
-    "dynamics_loss",
-    "total_loss",
     "batch_terms",
 ]
 
@@ -57,34 +49,6 @@ NORM_GUARD = 1e-12  # norms below this raise instead of producing huge losses
 
 class DegenerateNormError(Exception):
     """A normalization denominator fell below the guard threshold."""
-
-
-@dataclass(frozen=True)
-class ReducedSample:
-    """Grid-point subset used by stochastic hyper-reduction."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
-        if idx.ndim != 1 or idx.size < 1:
-            raise ValueError("subset must be a non-empty index vector")
-        if len(np.unique(idx)) != idx.size:
-            raise ValueError("subset indices must be unique")
-
-    @property
-    def size(self) -> int:
-        return self.indices.size
-
-
-def draw_subset(rng: np.random.Generator, n_points: int, gamma: float) -> ReducedSample:
-    """Uniform without-replacement draw of ``floor(gamma * N)`` grid points."""
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    size = int(gamma * n_points)
-    if size < 1:
-        raise ValueError(f"gamma = {gamma} selects no points out of {n_points}")
-    return ReducedSample(rng.choice(n_points, size=size, replace=False))
 
 
 def _label_norms(label: np.ndarray) -> np.ndarray:
@@ -135,81 +99,6 @@ def latent_rnmse(pred, target) -> Tensor:
     return dm.div(num, stop_gradient(constant(denom_val)))
 
 
-def reconstruction_loss(config: DecoderConfig, params: dict, alpha, snapshot,
-                        X: np.ndarray) -> Tensor:
-    """Normalized error of the decoded field against an observed snapshot.
-
-    The observation grid ``X`` is arbitrary; it does not have to match
-    the solver grid (partial or irregular observations decode just as
-    well).
-    """
-    return field_rnmse(decode(config, params, alpha, X), snapshot)
-
-
-def _flat_channels(spec: SolverSpec, config: DecoderConfig) -> int:
-    if config.out_channels != 1:
-        raise ValueError("built-in solvers evolve single-channel fields")
-    return spec.grid.num_points
-
-
-def compute_alpha_dot_star(config: DecoderConfig, params: dict, alpha,
-                           spec: SolverSpec, subset: ReducedSample,
-                           beta=None) -> Tensor:
-    """Target latent rate: least-squares projection of the solver rate.
-
-    Decodes the field on the full solver grid, differentiates it in time
-    through the solver, restricts rate and forward-mode decoder Jacobian
-    to the subset, and solves ``J x = du/dt`` in the least-squares
-    sense.  Differentiable with respect to decoder parameters and the
-    code through the entire chain, solver included.
-    """
-    n = _flat_channels(spec, config)
-    k = config.latent_dim
-    if subset.size < k:
-        raise ValueError(f"subset of {subset.size} rows cannot determine {k} latents")
-    if subset.indices.max() >= n:
-        raise ValueError("subset index out of grid bounds")
-    X = spec.grid.coords()
-    u_hat = decode(config, params, alpha, X)  # (N, 1)
-    rate = time_derivative(spec, dm.reshape(u_hat, spec.grid.shape), beta)
-    rate_sub = dm.take_rows(dm.reshape(rate, (n,)), subset.indices)
-    jac = decode_jacobian(config, params, alpha, X[subset.indices])
-    return qr_lstsq(jac, rate_sub)
-
-
-def dynamics_loss(dec_config: DecoderConfig, dec_params: dict,
-                  dyn_config: DynamicsConfig, dyn_params: dict,
-                  alpha, spec: SolverSpec, gamma: float,
-                  rng: np.random.Generator, beta=None) -> Tensor:
-    """Normalized error between predicted and solver-projected latent rates.
-
-    A fresh hyper-reduction subset is drawn from ``rng`` on every call.
-    """
-    subset = draw_subset(rng, spec.grid.num_points, gamma)
-    target = compute_alpha_dot_star(dec_config, dec_params, alpha, spec, subset, beta=beta)
-    pred = dynamics_eval(dyn_config, dyn_params, alpha, beta)
-    return latent_rnmse(pred, target)
-
-
-def total_loss(dec_config: DecoderConfig, dec_params: dict,
-               dyn_config: DynamicsConfig, dyn_params: dict,
-               alpha, snapshot, X_obs: np.ndarray, spec: SolverSpec,
-               lam: float, gamma: float, rng: np.random.Generator,
-               beta=None) -> Tensor:
-    """Weighted objective ``lam * L_rec + (1 - lam) * L_dyn``."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    rec = reconstruction_loss(dec_config, dec_params, alpha, snapshot, X_obs)
-    dyn = dynamics_loss(
-        dec_config, dec_params, dyn_config, dyn_params, alpha, spec, gamma, rng, beta=beta
-    )
-    return dm.add(dm.mul(rec, lam), dm.mul(dyn, 1.0 - lam))
-
-
-# ----------------------------------------------------------------------
-# vectorized training path
-
-
 def _batched_jacobian_siren(config, params, alpha_b: Tensor, coords_b: np.ndarray) -> Tensor:
     """Per-snapshot decoder Jacobians on per-snapshot coordinate subsets.
 
@@ -248,7 +137,9 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
 
     Returns ``(rec_mean, dyn_mean)`` as scalar tensors.
     """
-    n = _flat_channels(spec, dec_config)
+    if dec_config.out_channels != 1:
+        raise ValueError("built-in solvers evolve single-channel fields")
+    n = spec.grid.num_points
     b, k = alpha_b.shape
     X_solver = spec.grid.coords()
 
@@ -272,25 +163,18 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
         dm.reshape(u_obs, (b, u_obs.shape[-1], 1)), snapshots
     )
 
-    # dynamics term: solver rate restricted to the per-snapshot subsets
-    u_dyn = stop_gradient(u_flat) if warmup else u_flat
-    rate = time_derivative(spec, dm.reshape(u_dyn, (b, *spec.grid.shape)), beta_t)
-    rate_sub = dm.take_along(dm.reshape(rate, (b, n)), subset_idx, axis=1)
-
+    # dynamics term: solver rate and Jacobian restricted to the
+    # per-snapshot subsets, projected by least squares
     with no_grad() if warmup else nullcontext():
-        jac = _dynamics_jacobian(
-            dec_config, dec_params, alpha_b, spec, subset_idx, affine
-        )
+        rate = time_derivative(spec, dm.reshape(u_flat, (b, *spec.grid.shape)), beta_t)
+        rate_sub = dm.take_along(dm.reshape(rate, (b, n)), subset_idx, axis=1)
+        if affine is not None:
+            jac = dm.take_rows(dm.transpose(affine[0]), subset_idx)  # (B, n_sub, k)
+        else:
+            jac = _batched_jacobian_siren(dec_config, dec_params, alpha_b, X_solver[subset_idx])
         target = qr_lstsq(jac, rate_sub)
     alpha_in = stop_gradient(alpha_b) if warmup else alpha_b
 
     pred = dynamics_eval(dyn_config, dyn_params, alpha_in, beta_t)
     dyn = latent_rnmse(pred, target)
     return dm.mean_(rec), dm.mean_(dyn)
-
-
-def _dynamics_jacobian(dec_config, dec_params, alpha_b, spec, subset_idx, affine):
-    if affine is not None:
-        return dm.take_rows(dm.transpose(affine[0]), subset_idx)  # (B, n_sub, k)
-    coords = spec.grid.coords()[subset_idx]  # (B, n_sub, d)
-    return _batched_jacobian_siren(dec_config, dec_params, alpha_b, coords)

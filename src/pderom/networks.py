@@ -10,9 +10,8 @@ field values, one coordinate at a time (mesh-free):
   added by angle addition (``dm.sin_shift``), so its sines run once per
   grid point and once per code instead of once per (code, point) pair.
   :func:`grid_decoder` computes the grid part once for many codes.
-  Code tangents (``decode`` of a DualBatch) run the concatenated
-  ``[x, alpha]`` first layer, because each snapshot may bring its own
-  points.
+  Code tangents run the concatenated ``[x, alpha]`` first layer,
+  because each snapshot may bring its own points.
 * ``hyper`` - trig-modulated layers
   ``(W z + b + W' alpha) * [cos(freq x), sin(freq x)]`` where the latent
   code enters only through the per-layer bias shift ``W' alpha`` and the
@@ -20,6 +19,13 @@ field values, one coordinate at a time (mesh-free):
   ``alpha``, the whole decoder is an affine map of the code for a fixed
   grid; :func:`affine_decomposition` extracts that map once so training
   and inversion can decode whole batches with a single matmul.
+
+Code tangents and Jacobians come from one call: ``decode`` of a
+``DualBatch(alpha, T)`` returns the field and its derivatives along the
+K tangent directions ``T``; with ``T = eye(k)`` (one unit tangent per
+latent) the tangents are the rows of the transposed Jacobian
+``du/dalpha``.  They are tape tensors, so the Jacobian stays
+differentiable in reverse mode.
 
 The dynamics network is an MLP with the parameterized Swish activation
 ``x * sigmoid(x * softplus(omega))``; for parameterized PDEs a trainable
@@ -47,7 +53,6 @@ __all__ = [
     "init_dynamics",
     "decode",
     "grid_decoder",
-    "decode_jacobian",
     "affine_decomposition",
     "hyper_layer",
     "dynamics_eval",
@@ -301,7 +306,9 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
     siren's ``T @ W_a`` of the first layer's code rows, hyper's
     ``T @ Wm`` of every bias shift.  A sine layer maps
     ``dz -> cos(pre) * ((dz @ W) * omega0)``, a hyper layer
-    ``dz -> (dz @ W + T @ Wm) * trig``.
+    ``dz -> (dz @ W + T @ Wm) * trig``.  Training takes hyper Jacobian
+    rows from :func:`affine_decomposition` instead; this branch is the
+    independent forward-mode check on that map.
     """
     a = alpha.value
     xn = _normalized_coords(config, X)
@@ -340,21 +347,6 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
     out = _layer(params, "out")
     u = hyper_layer(z, None, out, a, final=True, rs=rs)
     return DualBatch(u, dm.add(dm.matmul(dz, out["W"], rs), dm.matmul(T, out["Wm"], rs)))
-
-
-def decode_jacobian(config: DecoderConfig, params: dict, alpha, X: np.ndarray) -> Tensor:
-    """Jacobian (N*m, k) of the flattened decoder output w.r.t. one code.
-
-    Decodes ``DualBatch(alpha, eye(k))``: one unit tangent per latent
-    dimension.  The result stays differentiable w.r.t. the decoder
-    parameters and the code.
-    """
-    a = dm.as_tensor(alpha)
-    if a.ndim != 1:
-        raise ValueError(f"decode_jacobian expects a rank-1 code, got shape {a.shape}")
-    k = a.shape[0]
-    out = decode(config, params, DualBatch(a, constant(np.eye(k))), X)
-    return dm.transpose(dm.reshape(out.tangent, (k, -1)))
 
 
 def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,

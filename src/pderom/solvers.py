@@ -224,6 +224,8 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
     (shape (..., 1) for a batch).  Differentiable in both ``w`` and
     ``mu``.  Raises :class:`CFLError` when ``dt * max|w| / h > 1``.
     """
+    if mu is None:
+        raise SolverError("burgers1d needs mu: pass beta or set params['mu']")
     w = as_tensor(w)
     (n,) = grid.shape
     if w.shape[-1] != n:

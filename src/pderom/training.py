@@ -72,6 +72,15 @@ class TrainingConfig:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be positive")
+        if not 0.0 < self.decay_rate <= 1.0:
+            raise ValueError("decay_rate must lie in (0, 1]")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.lam <= 1.0:
@@ -193,6 +202,10 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     table = snaps.reshape(n_traj * per_traj, n_obs, 1)
 
     param_dim = dynamics_config.param_dim
+    beta_lengths = {np.size(tr.beta) for tr in trajs}
+    if beta_lengths != {param_dim}:
+        raise ValueError(f"dynamics param_dim = {param_dim}, but the dataset's beta has "
+                         f"length {sorted(beta_lengths)}")
     beta_table = None
     if param_dim:
         beta_table = np.repeat(

@@ -3,6 +3,8 @@
 These deliberately avoid the library's differentiation machinery: the
 finite-difference gradient checker calls the function under test as a
 black box, and the reference solutions are closed-form or brute-force.
+The one exception, :func:`code_jacobian`, spells out the decoder's
+Jacobian API for the tests that check it or build on it.
 """
 
 from __future__ import annotations
@@ -10,6 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from pderom import diffmath as dm
+from pderom.networks import decode
+
+
+def code_jacobian(config, params, alpha, X):
+    """(N*m, k) Jacobian of the flattened decoded field w.r.t. one code."""
+    k = config.latent_dim
+    out = decode(config, params, dm.DualBatch(dm.as_tensor(alpha), dm.constant(np.eye(k))), X)
+    return dm.transpose(dm.reshape(out.tangent, (k, -1)))
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -29,16 +39,20 @@ def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return g
 
 
-def fd_check_params(loss_fn, params: dict, step: float = 1e-5):
+def fd_check_params(loss_fn, params: dict, step: float = 1e-5, grads=None):
     """Compare reverse-mode gradients of ``loss_fn(params)`` to central FD.
 
     ``loss_fn`` takes a dict of Tensors and returns a scalar Tensor.
+    ``grads`` (name -> Tensor) replaces the reverse-mode gradients of
+    ``loss_fn`` when another function's gradients are checked against
+    the differences of ``loss_fn``.
     Returns the maximum relative error over all parameter entries, where
     the relative scale is floored at 1e-6 times the largest gradient
     magnitude of that parameter (so near-zero entries do not blow up the
     ratio).
     """
-    _, grads = dm.grad(loss_fn, params)
+    if grads is None:
+        _, grads = dm.grad(loss_fn, params)
     worst = 0.0
     for name, p in params.items():
         base = np.asarray(p.data if isinstance(p, dm.Tensor) else p, dtype=np.float64)

@@ -227,6 +227,15 @@ class TestContainer:
         with pytest.raises(FormatError, match="hi > lo|coord_hi must exceed"):
             load(path)
 
+    @pytest.mark.parametrize("key,value", [("decay_rate", 0.0), ("beta1", 1.0),
+                                           ("beta2", 1.0), ("eps", 0.0),
+                                           ("weight_decay", -1e-4)])
+    def test_out_of_range_optimizer_value_raises_format_error(self, tmp_path, key, value):
+        path, load = saved_container(tmp_path, "model")
+        edit_keys(path, ["training_config"], key, value)
+        with pytest.raises(FormatError, match=key):
+            load(path)
+
     def test_wrong_kind_raises_format_error(self, tmp_path):
         path = saved(tmp_path, small_dataset())
         with pytest.raises(FormatError, match="not a model"):

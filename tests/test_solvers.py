@@ -150,6 +150,14 @@ class TestBurgersStep:
             burgers_step(constant(w), 0.02, 0.025, BURG_GRID)
         assert err.value.max_w == 60.0
 
+    def test_missing_mu_raises_solver_error(self):
+        # a spec without params["mu"] and no beta: the source is undefined
+        spec = SolverSpec("burgers1d", BURG_GRID, dt=0.025, params={})
+        with pytest.raises(SolverError, match="needs mu"):
+            time_derivative(spec, constant(np.ones(256)))
+        with pytest.raises(SolverError, match="needs mu"):
+            burgers_step(constant(np.ones(256)), None, 0.025, BURG_GRID)
+
     def test_gradient_wrt_state_and_mu(self):
         rng = np.random.default_rng(4)
         g = Grid((0.0,), (10.0,), (24,))

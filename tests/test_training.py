@@ -65,9 +65,28 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
     assert 3 in rows and len(rows) <= 8
 
 
+# beta2 = 1 divides by zero in adamw_step's bias correction; the other
+# optimizer values stall the schedule or the update, or grow the weights
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("decay_every", 0),
                                          ("checkpoint_every", 0), ("log_every", 0),
-                                         ("warmup_epochs", -1)])
+                                         ("warmup_epochs", -1), ("decay_rate", 0.0),
+                                         ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0),
+                                         ("weight_decay", -1e-4)])
 def test_config_rejects_out_of_range_epoch_counts(field, value):
     with pytest.raises(ValueError, match=field):
         TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
+
+
+@pytest.mark.parametrize("param_dim,beta", [(1, np.empty(0)), (0, np.array([0.02]))])
+def test_param_dim_must_match_dataset_beta(tiny, param_dim, beta):
+    ds = data.Dataset(tiny.spec, tiny.snapshot_dt, tiny.t_train, tiny.t_test, tiny.seed,
+                      train=[data.Trajectory(tiny.train[0].snapshots, beta)], test=[])
+    dyn = DynamicsConfig(latent_dim=3, layers=1, width=8, param_dim=param_dim)
+    with pytest.raises(ValueError, match=rf"param_dim = {param_dim}, but the dataset's beta"):
+        train(ds, DEC, dyn, TrainingConfig(epochs=1, warmup_epochs=0))
+
+
+def test_gamma_must_keep_k_grid_points(tiny):
+    cfg = TrainingConfig(epochs=1, warmup_epochs=0, gamma=1e-3)  # 1 of 1764 points
+    with pytest.raises(ValueError, match="keeps 1 grid points, fewer than k = 3"):
+        train(tiny, DEC, DYN, cfg)
