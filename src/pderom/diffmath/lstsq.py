@@ -20,18 +20,24 @@ from .tape import DiffmathError, Tensor, _make, as_tensor
 
 __all__ = ["qr_lstsq", "SingularSystemError", "RANK_RTOL"]
 
-RANK_RTOL = 1e-10  # |R_ii| below this times max|R| flags rank deficiency
+RANK_RTOL = 1e-10  # |R_ii| below this times the system's max|R| flags rank deficiency
 
 
 class SingularSystemError(DiffmathError):
-    """The least-squares matrix is numerically rank deficient."""
+    """The least-squares matrix is numerically rank deficient.
 
-    def __init__(self, column: int, pivot: float, threshold: float):
+    ``index`` holds the leading (batch) indices of the offending system,
+    empty for an unbatched one; ``column`` the dependent column.
+    """
+
+    def __init__(self, index: tuple, column: int, pivot: float, threshold: float):
+        where = f" at batch index {', '.join(map(str, index))}" if index else ""
         super().__init__(
-            f"rank-deficient least-squares system: |R[{column},{column}]| = "
+            f"rank-deficient least-squares system{where}: |R[{column},{column}]| = "
             f"{pivot:.3e} <= {threshold:.3e}; column {column} is linearly "
             "dependent on the others"
         )
+        self.index = index
         self.column = column
 
 
@@ -60,14 +66,18 @@ def solve_upper_t(R: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_rank(R: np.ndarray) -> None:
+    """Raise for the first system whose |R_ii| falls to its own threshold.
+
+    Each system in the batch is measured against its own max|R|, so a
+    full-rank system is never rejected because of its batch neighbours.
+    """
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    threshold = RANK_RTOL * np.abs(R).max()
-    bad = diag <= threshold
+    threshold = RANK_RTOL * np.abs(R).max(axis=(-2, -1))
+    bad = diag <= threshold[..., None]
     if bad.any():
-        flat = np.argwhere(bad)
-        col = int(flat[0][-1])
-        pivot = float(diag[tuple(flat[0])])
-        raise SingularSystemError(col, pivot, float(threshold))
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        index, col = first[:-1], first[-1]
+        raise SingularSystemError(index, col, float(diag[first]), float(threshold[index]))
 
 
 def qr_lstsq(J, b) -> Tensor:

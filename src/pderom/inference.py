@@ -21,6 +21,7 @@ from .losses import field_rnmse
 from .networks import (
     DecoderConfig,
     DynamicsConfig,
+    _check_counts,
     affine_decomposition,
     decode,
     dynamics_eval,
@@ -44,6 +45,7 @@ class InversionConfig:
     lr: float = 0.1
 
     def __post_init__(self):
+        _check_counts(self, ("steps",))
         if self.steps < 1:
             raise ValueError("inversion needs at least one step")
         if self.lr <= 0:

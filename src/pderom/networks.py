@@ -59,6 +59,19 @@ __all__ = [
 ]
 
 
+def _check_counts(config, names) -> None:
+    """Raise ``ValueError`` unless each named field is an integer.
+
+    Python and numpy integers pass; bools and floats (even integral
+    ones) do not, since ``range``, seeding and array shapes reject them
+    later and far from the config.
+    """
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
     architecture: str  # "siren" | "hyper"
@@ -74,7 +87,9 @@ class DecoderConfig:
     def __post_init__(self):
         if self.architecture not in ("siren", "hyper"):
             raise ValueError(f"unknown decoder architecture {self.architecture!r}")
-        for name in ("latent_dim", "layers", "width", "coord_dim", "out_channels"):
+        counts = ("latent_dim", "layers", "width", "coord_dim", "out_channels")
+        _check_counts(self, counts)
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.architecture == "hyper" and self.width % 2 != 0:
@@ -102,6 +117,7 @@ class DynamicsConfig:
     param_dim: int = 0  # 0: autonomous in alpha only; >0: beta-conditioned
 
     def __post_init__(self):
+        _check_counts(self, ("latent_dim", "layers", "width", "param_dim"))
         for name in ("latent_dim", "layers", "width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -271,10 +287,11 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
     grids.  Rows of the output are computed independently; permuting
     ``X`` permutes the rows, exactly.
 
-    ``fast=True`` switches the matmuls to blocked BLAS kernels: a few
-    ulps of rounding may then depend on row position, which training
-    and inversion loops accept in exchange for an order of magnitude
-    in throughput.
+    Exact mode computes every matmul one output row at a time (see
+    ``dm.matmul``'s ``row_stable``).  ``fast=True`` switches them to
+    single BLAS gemm calls: a few ulps of rounding may then depend on
+    row position, which training and inversion loops accept for
+    contractions 1.2-2.1x faster at width 64, by shape.
 
     A siren runs :func:`grid_decoder`.  Given a ``DualBatch(alpha, T)``
     with tangents T of shape (K, *alpha.shape), ``decode`` returns

@@ -29,7 +29,7 @@ import numpy as np
 from . import diffmath as dm
 from .diffmath import NonFiniteError, Tensor, backward
 from .losses import batch_terms
-from .networks import DecoderConfig, DynamicsConfig, init_decoder, init_dynamics
+from .networks import DecoderConfig, DynamicsConfig, _check_counts, init_decoder, init_dynamics
 from .solvers import SolverSpec
 
 __all__ = [
@@ -65,6 +65,8 @@ class TrainingConfig:
     log_every: int = 100
 
     def __post_init__(self):
+        _check_counts(self, ("epochs", "warmup_epochs", "decay_every", "batch_size",
+                             "seed", "checkpoint_every", "log_every"))
         for name in ("epochs", "decay_every", "checkpoint_every", "log_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -236,6 +236,15 @@ class TestContainer:
         with pytest.raises(FormatError, match=key):
             load(path)
 
+    @pytest.mark.parametrize("where,key,value", [(["decoder_config"], "width", 12.0),
+                                                 (["dynamics_config"], "layers", True),
+                                                 (["training_config"], "epochs", 2.5)])
+    def test_non_integer_count_raises_format_error(self, tmp_path, where, key, value):
+        path, load = saved_container(tmp_path, "model")
+        edit_keys(path, where, key, value)
+        with pytest.raises(FormatError, match=f"{key} must be an integer"):
+            load(path)
+
     def test_wrong_kind_raises_format_error(self, tmp_path):
         path = saved(tmp_path, small_dataset())
         with pytest.raises(FormatError, match="not a model"):

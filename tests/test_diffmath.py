@@ -234,6 +234,68 @@ class TestPrimitives:
         assert y.parents == () and not y.requires_grad
 
 
+def row_stable(op, a, w):
+    """``op`` in row-stable mode on rows ``a`` and weights ``w``."""
+    if op == "matmul":
+        return dm.matmul(a, w, row_stable=True).data
+    bias = np.linspace(-1.0, 1.0, w.shape[-1])
+    return dm.sine_affine(a, w, bias, 30.0, row_stable=True).data
+
+
+# shapes (K, N) of the weights: the decoders' hidden layer, the scalar
+# output head, the hyper frequency map and the hyper affine map
+@pytest.mark.parametrize("K,N", [(64, 64), (64, 1), (2, 64), (8, 1764)])
+@pytest.mark.parametrize("op", ["matmul", "sine_affine"])
+class TestRowStable:
+    """Each output row depends on its own row and the weights alone.
+
+    A single gemm over all rows fails these: its kernel blocks over rows,
+    and a lone row goes to gemv instead."""
+
+    def operands(self, K, N, rows=40):
+        rng = np.random.default_rng(K * 10000 + N)
+        return rng.normal(size=(rows, K)), rng.normal(size=(K, N)) / np.sqrt(K)
+
+    def test_single_row_equals_its_row_of_the_full_result(self, op, K, N):
+        a, w = self.operands(K, N)
+        full = row_stable(op, a, w)
+        for i in range(len(a)):
+            np.testing.assert_array_equal(row_stable(op, a[i:i + 1], w), full[i:i + 1])
+
+    def test_permuted_rows(self, op, K, N):
+        a, w = self.operands(K, N)
+        perm = np.random.default_rng(1).permutation(len(a))
+        np.testing.assert_array_equal(row_stable(op, a[perm], w), row_stable(op, a, w)[perm])
+
+    def test_transposed_view_matches_contiguous_copy(self, op, K, N):
+        a, w = self.operands(K, N)
+        view = np.ascontiguousarray(a.T).T
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(row_stable(op, view, w), row_stable(op, a, w))
+
+    def test_stacked_rows_match_each_row(self, op, K, N):
+        a, w = self.operands(K, N, rows=3 * 7)
+        full = row_stable(op, a.reshape(3, 7, K), w)
+        for j in range(3):
+            for i in range(7):
+                np.testing.assert_array_equal(row_stable(op, a[7 * j + i][None], w),
+                                              full[j, i][None])
+
+
+@pytest.mark.parametrize("K", [1, 64])
+def test_row_stable_matmul_with_stacked_weights(K):
+    # (n, K) @ (B, K, N): every (row, stack) pair equals its lone product,
+    # as the code rows broadcast over the points in the decoders' tangents
+    rng = np.random.default_rng(K)
+    a, b = rng.normal(size=(30, K)), rng.normal(size=(4, K, 64))
+    full = dm.matmul(a, b, row_stable=True).data
+    assert full.shape == (4, 30, 64)
+    for j in range(4):
+        for i in range(30):
+            lone = dm.matmul(a[i:i + 1], b[j], row_stable=True).data
+            np.testing.assert_array_equal(lone, full[j, i:i + 1])
+
+
 class TestDualBatch:
     def test_tangent_must_stack_the_value_shape(self):
         value = dm.constant(np.zeros((2, 3)))
@@ -289,6 +351,27 @@ class TestQrLstsq:
         with pytest.raises(dm.SingularSystemError) as err:
             qr_lstsq(dm.constant(J), dm.constant(np.ones(10)))
         assert err.value.column == 2
+        assert err.value.index == ()
+
+    def test_mixed_scale_batch_matches_single_solves(self):
+        # one threshold over the whole batch rejected the small system
+        rng = np.random.default_rng(17)
+        J1 = rng.normal(size=(20, 4))
+        J = np.stack([J1, 1e-12 * J1])
+        b = rng.normal(size=(2, 20))
+        x = qr_lstsq(dm.constant(J), dm.constant(b)).data
+        for i in range(2):
+            alone = qr_lstsq(dm.constant(J[i]), dm.constant(b[i])).data
+            np.testing.assert_array_equal(x[i], alone)
+
+    def test_rank_deficient_system_in_batch_names_index(self):
+        rng = np.random.default_rng(18)
+        J = rng.normal(size=(2, 3, 10, 3))
+        J[1, 2, :, 1] = -3.0 * J[1, 2, :, 0]
+        with pytest.raises(dm.SingularSystemError, match="batch index 1, 2") as err:
+            qr_lstsq(dm.constant(J), dm.constant(np.ones((2, 3, 10))))
+        assert err.value.index == (1, 2)
+        assert err.value.column == 1
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(16)

@@ -33,6 +33,12 @@ def test_non_finite_field_names_the_inversion_step():
     assert err.value.op == "sub"
 
 
+@pytest.mark.parametrize("steps", [10.5, 10.0, True])
+def test_inversion_config_rejects_non_integer_steps(steps):
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        InversionConfig(steps=steps)
+
+
 @pytest.mark.parametrize("lr", [0.0, -1.0])
 def test_inversion_config_rejects_non_positive_lr(lr):
     with pytest.raises(ValueError, match="lr must be positive"):

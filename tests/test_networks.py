@@ -31,6 +31,22 @@ def test_config_rejects_an_empty_coordinate_range(hi):
         DecoderConfig("hyper", 4, 2, 12, 2, coord_lo=(0.0, 0.0), coord_hi=hi)
 
 
+@pytest.mark.parametrize("field,value", [("width", 64.0), ("latent_dim", True),
+                                         ("coord_dim", 2.5), ("out_channels", None)])
+def test_decoder_config_rejects_non_integer_counts(field, value):
+    kwargs = dict(architecture="hyper", latent_dim=4, layers=2, width=12, coord_dim=2)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DecoderConfig(**{**kwargs, field: value})
+
+
+@pytest.mark.parametrize("field,value", [("layers", True), ("width", 8.0),
+                                         ("param_dim", 1.5)])
+def test_dynamics_config_rejects_non_integer_counts(field, value):
+    kwargs = dict(latent_dim=4, layers=2, width=8)
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DynamicsConfig(**{**kwargs, field: value})
+
+
 def reference_siren(params, config, alpha, X):
     """Straightforward numpy re-implementation of the sine decoder."""
     xn = config.normalize(X)
@@ -116,12 +132,26 @@ class TestDecode:
         out = decode(config, params, constant(batch), X)
         for i in range(4):
             single = decode(config, params, constant(batch[i]), X)
-            np.testing.assert_allclose(out.data[i], single.data, atol=1e-12)
+            np.testing.assert_array_equal(out.data[i], single.data)
 
     def test_coordinate_dimension_mismatch(self, setup):
         config, params, X, alpha = setup
         with pytest.raises(ValueError, match="coordinates have dimension"):
             decode(config, params, constant(alpha), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("arch", ["siren", "hyper"])
+    def test_each_point_alone_matches_full_grid_at_benchmark_size(self, arch):
+        # the benchmark's decoder (k 8, 3 layers of 64) on 2-D coordinates
+        config = DecoderConfig(arch, latent_dim=8, layers=3, width=64, coord_dim=2,
+                               coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
+        params = init_decoder(config, seed=2)
+        rng = np.random.default_rng(6)
+        X = rng.uniform(-20.0, 20.0, size=(60, 2))
+        codes = constant(rng.normal(size=(2, 8)) * 0.5)
+        full = decode(config, params, codes, X).data
+        for i in range(len(X)):
+            alone = decode(config, params, codes, X[i:i + 1]).data
+            np.testing.assert_array_equal(alone, full[:, i:i + 1])
 
     def test_fast_mode_matches_exact_to_rounding(self, setup):
         config, params, X, alpha = setup

@@ -77,6 +77,19 @@ def test_config_rejects_out_of_range_epoch_counts(field, value):
         TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
 
 
+@pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 32.0),
+                                         ("warmup_epochs", True), ("seed", "0"),
+                                         ("log_every", np.float64(10.0))])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
+
+
+def test_config_accepts_numpy_integer_counts():
+    cfg = TrainingConfig(epochs=np.int64(2), warmup_epochs=np.int32(1), seed=np.uint8(3))
+    assert cfg.epochs == 2
+
+
 @pytest.mark.parametrize("param_dim,beta", [(1, np.empty(0)), (0, np.array([0.02]))])
 def test_param_dim_must_match_dataset_beta(tiny, param_dim, beta):
     ds = data.Dataset(tiny.spec, tiny.snapshot_dt, tiny.t_train, tiny.t_test, tiny.seed,
