@@ -74,7 +74,7 @@ class Dataset:
     snapshot_dt: float
     t_train: int
     t_test: int
-    seed: int
+    seed: int  # generator seed; for Burgers only a label (the data is fixed)
     train: list
     test: list
     val: list = field(default_factory=list)
@@ -145,6 +145,8 @@ def gen_burgers(seed: int = 0) -> Dataset:
     Eight training and nine test source exponents (two of them outside
     the training range), 256-point grid, 200 saved steps of 0.2 time
     units each (solver substeps every 0.025), training window 100.
+    The data has no random part: ``seed`` is only recorded as
+    ``Dataset.seed``, and every seed gives bitwise-equal snapshots.
     """
     spec = burgers_spec()
     save_every = 8

@@ -22,7 +22,6 @@ from .tape import (
     cos,
     div,
     exp,
-    grad,
     matmul,
     maximum,
     mean_,
@@ -30,7 +29,6 @@ from .tape import (
     mul,
     no_grad,
     pad_zero,
-    parameter,
     pow_const,
     reshape,
     sigmoid,
@@ -57,9 +55,7 @@ __all__ = [
     "RANK_RTOL",
     "as_tensor",
     "constant",
-    "parameter",
     "backward",
-    "grad",
     "no_grad",
     "stop_gradient",
     "qr_lstsq",

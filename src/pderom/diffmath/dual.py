@@ -1,13 +1,16 @@
-"""A value with ``k`` stacked tangents: the decoder's forward-mode currency.
+"""A value with ``k`` stacked tangents: the decoder's Jacobian currency.
 
 :func:`pderom.networks.decode` takes a :class:`DualBatch` of a code and
 its tangent directions and returns one of the field and its directional
 derivatives.  It is the decoder's Jacobian API: with one unit tangent per
 latent, ``decode(config, params, DualBatch(alpha, constant(eye(k))), X)``
 returns the field and, as its tangent, the (k, N, m) transposed Jacobian.
+How the tangents are computed is the decoder's business: a siren runs
+``m`` reverse sweeps (one per output channel) and contracts them with the
+tangents, so no work beyond that last contraction grows with ``k``.
 The tangents are ordinary tape tensors, so a Jacobian assembled this way
-stays differentiable in reverse mode (forward-over-reverse); this is what
-lets the training loss differentiate through the decoder Jacobian.
+stays differentiable in reverse mode; this is what lets the training
+loss differentiate through the decoder Jacobian.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,9 +52,7 @@ __all__ = [
     "no_grad",
     "as_tensor",
     "constant",
-    "parameter",
     "backward",
-    "grad",
     "stop_gradient",
 ]
 
@@ -167,11 +165,6 @@ def as_tensor(x) -> Tensor:
 def constant(x) -> Tensor:
     """A tensor that never receives gradients."""
     return Tensor(x)
-
-
-def parameter(x) -> Tensor:
-    """A leaf tensor that accumulates gradients in :func:`backward`."""
-    return Tensor(x, requires_grad=True)
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -675,23 +668,3 @@ def backward(root: Tensor, wrt: Iterable[Tensor]) -> list[np.ndarray]:
         slot = store.get(id(t))
         out.append(slot[0] if slot is not None else np.zeros_like(t.data))
     return out
-
-
-def grad(scalar_fn: Callable, params: Mapping[str, Tensor]):
-    """Evaluate ``scalar_fn(params)`` and differentiate it.
-
-    ``params`` maps identifiers to leaf tensors; every value is promoted
-    to a gradient-requiring leaf.  Returns the scalar value and a
-    gradient map holding one tensor per parameter (zeros for parameters
-    the function never touched).
-    """
-    leaves = {k: Tensor(as_tensor(v).data, requires_grad=True) for k, v in params.items()}
-    out = scalar_fn(leaves)
-    if not isinstance(out, Tensor) or out.data.shape != ():
-        raise ValueError("scalar_fn must return a scalar Tensor")
-    _check_finite(out.data, "grad-output")
-    gs = backward(out, leaves.values())
-    for g in gs:
-        _check_finite(g, "grad-backward")
-    gmap = {k: Tensor(g) for (k, _), g in zip(leaves.items(), gs)}
-    return float(out.data), gmap

@@ -139,7 +139,13 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
     accurate for this pair.  Step sizes follow a PI controller on the
     embedded error estimate with rejection when the estimate exceeds
     tolerance; the first step goes to the first target after ``t0``.
+    ``alpha0`` is one code, shape (latent_dim,).
     """
+    alpha0 = np.asarray(alpha0, dtype=np.float64)
+    if alpha0.shape != (config.latent_dim,):
+        raise ValueError(
+            f"alpha0 must have shape ({config.latent_dim},), got {alpha0.shape}"
+        )
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 1 or len(targets) == 0:
         raise ValueError("targets must be a non-empty 1-D time list")
@@ -155,9 +161,9 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
         with no_grad():
             return dynamics_eval(config, tparams, constant(y), beta_t).data
 
-    out = np.empty((len(targets), len(alpha0)))
+    out = np.empty((len(targets), config.latent_dim))
     write = 0
-    t, y = float(t0), np.asarray(alpha0, dtype=np.float64).copy()
+    t, y = float(t0), alpha0.copy()
     k1 = f(y)
 
     # emit any targets equal to t0 immediately
@@ -216,10 +222,10 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
              integrator: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Invert an initial condition, evolve it, decode on a query grid.
 
-    ``u0`` lives on grid ``X`` (any subset or superset of the solver
-    grid); ``times`` are absolute times with the initial condition at
-    ``times[0]``.  Decodes on ``query_grid`` (default: the solver grid)
-    at every requested time.  ``beta`` must carry the PDE parameters for
+    ``u0`` is one field of shape (len(X), m) on the grid ``X`` (any
+    subset or superset of the solver grid); ``times`` are absolute times
+    with the initial condition at ``times[0]``.  Decodes on
+    ``query_grid`` (default: the solver grid) at every requested time.  ``beta`` must carry the PDE parameters for
     parameterized dynamics.  Returns (T, N_query, m).
 
     The final decode runs in exact (row-stable) mode.  A siren decodes
@@ -227,6 +233,11 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     about ``_DECODE_ELEMENTS`` values; the result is bitwise equal to
     decoding every time at once.
     """
+    X = np.asarray(X)
+    u0 = np.asarray(u0, dtype=np.float64)
+    want = (len(X), model.decoder_config.out_channels)
+    if u0.shape != want:
+        raise ValueError(f"u0 must have shape {want} (one field on X), got {u0.shape}")
     Xq = model.spec.grid.coords() if query_grid is None else np.asarray(query_grid)
     times = np.asarray(times, dtype=np.float64)
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)

@@ -14,9 +14,10 @@ network.
 :func:`batch_terms` is the one definition of both terms: training runs
 it on a whole batch of snapshots at once.  For the hyper decoder it goes
 through the affine decomposition, one basis decode per step that also
-supplies every Jacobian row; for siren one dual decode carries all code
-tangents.  The test suite checks it, values and gradients, against a
-per-snapshot reference built from the public primitives.
+supplies every Jacobian row; for siren one dual decode gives every row
+from a single reverse sweep through the decoder.  The test suite checks
+it, values and gradients, against a per-snapshot reference built from
+the public primitives.
 """
 
 from __future__ import annotations
@@ -103,7 +104,9 @@ def _batched_jacobian_siren(config, params, alpha_b: Tensor, coords_b: np.ndarra
     """Per-snapshot decoder Jacobians on per-snapshot coordinate subsets.
 
     ``alpha_b`` is (B, k); ``coords_b`` is (B, n, d).  Returns (B, n*m, k).
-    One dual decode carries all k tangents for the whole batch.
+    One dual decode with unit tangents serves the whole batch: it costs
+    ``m`` reverse sweeps through the decoder, and only its final
+    contraction with the k tangents grows with k.
     """
     b, k = alpha_b.shape
     seeds = np.broadcast_to(np.eye(k)[:, None, :], (k, b, k))

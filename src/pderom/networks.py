@@ -11,7 +11,8 @@ field values, one coordinate at a time (mesh-free):
   grid point and once per code instead of once per (code, point) pair.
   :func:`grid_decoder` computes the grid part once for many codes.
   Code tangents run the concatenated ``[x, alpha]`` first layer,
-  because each snapshot may bring its own points.
+  because each snapshot may bring its own points, and then one reverse
+  sweep per output channel back down to the code.
 * ``hyper`` - trig-modulated layers
   ``(W z + b + W' alpha) * [cos(freq x), sin(freq x)]`` where the latent
   code enters only through the per-layer bias shift ``W' alpha`` and the
@@ -24,8 +25,10 @@ Code tangents and Jacobians come from one call: ``decode`` of a
 ``DualBatch(alpha, T)`` returns the field and its derivatives along the
 K tangent directions ``T``; with ``T = eye(k)`` (one unit tangent per
 latent) the tangents are the rows of the transposed Jacobian
-``du/dalpha``.  They are tape tensors, so the Jacobian stays
-differentiable in reverse mode.
+``du/dalpha``.  For siren they cost ``m`` reverse sweeps (one per
+output channel) plus one contraction with ``T``, the only work that
+grows with K.  They are tape tensors, so the Jacobian stays
+differentiable in reverse mode (reverse-over-reverse).
 
 The dynamics network is an MLP with the parameterized Swish activation
 ``x * sigmoid(x * softplus(omega))``; for parameterized PDEs a trainable
@@ -317,22 +320,27 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
                  X: np.ndarray, fast: bool) -> DualBatch:
     """The field and its code tangents, by the chain rule written out.
 
-    Each tangent ``dz`` is carried layer by layer as tape ops, so it stays
-    differentiable in reverse mode (forward-over-reverse).  The code
-    enters through a (K, ..., 1, width) term broadcast over the points:
-    siren's ``T @ W_a`` of the first layer's code rows, hyper's
-    ``T @ Wm`` of every bias shift.  A sine layer maps
-    ``dz -> cos(pre) * ((dz @ W) * omega0)``, a hyper layer
+    Every step is a tape op, so the tangents stay differentiable in
+    reverse mode.  A siren acts pointwise with ``m`` outputs per point,
+    so its code gradients come from ``m`` reverse (adjoint) sweeps,
+    vectorized over the points: seed ``g = out.W^T``, then per layer
+    from the last down ``g -> (g * cos(pre)) @ (omega0 W^T)``, with the
+    first layer's code rows ``W_a`` at the bottom.  That gives the
+    (m, ..., n, k) gradient of each output with respect to the code, at
+    the cost of ``m`` passes whatever the number of tangents; only the
+    final contraction with the K tangents ``T`` scales with K.
+
+    Hyper runs forward mode: the code enters through a (K, ..., 1, width)
+    term ``T @ Wm`` of every bias shift, and a layer maps
     ``dz -> (dz @ W + T @ Wm) * trig``.  Training takes hyper Jacobian
     rows from :func:`affine_decomposition` instead; this branch is the
-    independent forward-mode check on that map.
+    independent check on that map.
     """
     a = alpha.value
     xn = _normalized_coords(config, X)
     shape = _check_code(config, a)
     rs = not fast
     a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
-    T = dm.reshape(alpha.tangent, (alpha.num_tangents, *a_row.shape))
 
     if config.architecture == "siren":
         # value through the concatenated [x, alpha] first layer: every
@@ -341,17 +349,26 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
         n, d = xn.shape[-2], config.coord_dim
         z = dm.concat([constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
                        dm.matmul(constant(np.ones((n, 1))), a_row, rs)], axis=-1)
-        W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
-        dz = T
+        pres = []
         for i in range(config.layers):
-            W = params[f"l{i}.W"]
-            dz = dm.matmul(dz, W if i else W_a, rs)
-            pre = dm.mul(dm.add(dm.matmul(z, W, rs), params[f"l{i}.b"]), omega0)
-            z = dm.sin(pre)
-            dz = dm.mul(dm.cos(pre), dm.mul(dz, omega0))
+            pres.append(dm.mul(dm.add(dm.matmul(z, params[f"l{i}.W"], rs),
+                                      params[f"l{i}.b"]), omega0))
+            z = dm.sin(pres[-1])
         u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
-        return DualBatch(u, dm.matmul(dz, params["out.W"], rs))
+        # one adjoint per output channel, (m, ..., 1, width), broadcast
+        # over the points by the first cos(pre)
+        m, lead = config.out_channels, len(shape) - 1
+        g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
+        W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
+        for i in reversed(range(config.layers)):
+            W = params[f"l{i}.W"] if i else W_a
+            g = dm.matmul(dm.mul(g, dm.cos(pres[i])), dm.mul(dm.transpose(W), omega0), rs)
+        # contract the (m, ..., n, k) code gradients with T^T (..., k, K)
+        T_t = dm.transpose(alpha.tangent, (*range(1, lead + 2), 0))
+        dU = dm.matmul(g, T_t, rs)  # (m, ..., n, K)
+        return DualBatch(u, dm.transpose(dU, (lead + 2, *range(1, lead + 2), 0)))
 
+    T = dm.reshape(alpha.tangent, (alpha.num_tangents, *a_row.shape))
     xn_t = constant(xn)
     z, dz = xn_t, None
     for i in range(config.layers):

@@ -3,8 +3,11 @@
 These deliberately avoid the library's differentiation machinery: the
 finite-difference gradient checker calls the function under test as a
 black box, and the reference solutions are closed-form or brute-force.
-The one exception, :func:`code_jacobian`, spells out the decoder's
-Jacobian API for the tests that check it or build on it.
+The exceptions build on the tape: :func:`code_jacobian` spells out the
+decoder's Jacobian API for the tests that check it or build on it,
+:func:`siren_tangents_forward` is the forward-mode reference for the
+siren code tangents, and :func:`parameter` and :func:`grad` are the
+tests' shorthand for differentiating a function of named leaves.
 """
 
 from __future__ import annotations
@@ -15,11 +18,69 @@ from pderom import diffmath as dm
 from pderom.networks import decode
 
 
+def parameter(x) -> dm.Tensor:
+    """A leaf tensor that accumulates gradients in ``dm.backward``."""
+    return dm.Tensor(x, requires_grad=True)
+
+
+def grad(scalar_fn, params):
+    """Evaluate ``scalar_fn(params)`` and differentiate it.
+
+    ``params`` maps identifiers to tensors or arrays; every value is
+    promoted to a gradient-requiring leaf.  Returns the scalar value and
+    a gradient map holding one tensor per parameter (zeros for
+    parameters the function never touched).  A non-finite value or
+    gradient raises ``dm.NonFiniteError``.
+    """
+    leaves = {k: parameter(dm.as_tensor(v).data) for k, v in params.items()}
+    out = scalar_fn(leaves)
+    if not isinstance(out, dm.Tensor) or out.shape != ():
+        raise ValueError("scalar_fn must return a scalar Tensor")
+    if not np.isfinite(out.data):
+        raise dm.NonFiniteError("grad-output")
+    gs = dm.backward(out, leaves.values())
+    if not all(np.isfinite(g).all() for g in gs):
+        raise dm.NonFiniteError("grad-backward")
+    return float(out.data), {k: dm.Tensor(g) for k, g in zip(leaves, gs)}
+
+
 def code_jacobian(config, params, alpha, X):
     """(N*m, k) Jacobian of the flattened decoded field w.r.t. one code."""
     k = config.latent_dim
     out = decode(config, params, dm.DualBatch(dm.as_tensor(alpha), dm.constant(np.eye(k))), X)
     return dm.transpose(dm.reshape(out.tangent, (k, -1)))
+
+
+def siren_tangents_forward(config, params, alpha, T, X, fast=False):
+    """Siren field and code tangents in forward mode, one copy per tangent.
+
+    The reference for ``decode`` of a ``DualBatch(alpha, T)``: the value
+    runs the same ops as the library, and each of the K tangents ``dz``
+    is carried through every layer as ``dz -> cos(pre) * ((dz @ W) *
+    omega0)``, starting from ``T @ W_a`` on the first layer's code rows.
+    ``alpha`` is (k,) or (B, k), ``T`` (K, *alpha.shape) and ``X`` (N, d)
+    or (B, n, d).  Returns tape tensors ``u`` (..., n, m) and ``dU``
+    (K, ..., n, m).
+    """
+    a, T = dm.as_tensor(alpha), dm.as_tensor(T)
+    shape = a.shape
+    xn = config.normalize(X)
+    rs = not fast
+    a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
+    omega0 = dm.constant(np.float64(config.omega0))
+    n, d = xn.shape[-2], config.coord_dim
+    z = dm.concat([dm.constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
+                   dm.matmul(dm.constant(np.ones((n, 1))), a_row, rs)], axis=-1)
+    W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
+    dz = dm.reshape(T, (T.shape[0], *a_row.shape))
+    for i in range(config.layers):
+        W = params[f"l{i}.W"]
+        dz = dm.matmul(dz, W if i else W_a, rs)
+        pre = dm.mul(dm.add(dm.matmul(z, W, rs), params[f"l{i}.b"]), omega0)
+        z = dm.sin(pre)
+        dz = dm.mul(dm.cos(pre), dm.mul(dz, omega0))
+    u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
+    return u, dm.matmul(dz, params["out.W"], rs)
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -52,7 +113,7 @@ def fd_check_params(loss_fn, params: dict, step: float = 1e-5, grads=None):
     ratio).
     """
     if grads is None:
-        _, grads = dm.grad(loss_fn, params)
+        _, grads = grad(loss_fn, params)
     worst = 0.0
     for name, p in params.items():
         base = np.asarray(p.data if isinstance(p, dm.Tensor) else p, dtype=np.float64)

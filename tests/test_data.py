@@ -107,6 +107,17 @@ class TestGeneration:
                           beta=float(traj.beta[0]))
             np.testing.assert_array_equal(traj.snapshots[..., 0], ref)
 
+    def test_burgers_seed_is_only_a_label(self, burgers):
+        other = data.gen_burgers(1)
+        assert (burgers.seed, other.seed) == (0, 1)
+        pairs = list(zip(burgers.train + burgers.test, other.train + other.test))
+        assert len(pairs) == len(other.train + other.test) == 17
+        for a, b in pairs:
+            assert a.snapshots.tobytes() == b.snapshots.tobytes()
+            assert a.beta.tobytes() == b.beta.tobytes()
+        header = ("spec", "snapshot_dt", "t_train", "t_test", "obs_indices", "sparse_fraction")
+        assert all(getattr(burgers, f) == getattr(other, f) for f in header)
+
     def test_diffusion_equals_per_trajectory_rollout(self, diffusion):
         spec = data.diffusion_spec()
         rng = np.random.default_rng(3)  # blobs drawn in split order, as generated

@@ -1,5 +1,7 @@
 """Inversion, latent integration and forecasting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,16 @@ def test_integrate_from_a_target_at_t0_steps_to_the_next_target():
     assert whole.tobytes() == np.vstack([alpha0, rest]).tobytes()
 
 
+@pytest.mark.parametrize("alpha0", [np.zeros(5), np.zeros((2, 3)), np.zeros(())],
+                         ids=["length", "batched", "scalar"])
+def test_integrate_rejects_a_code_of_the_wrong_shape(alpha0):
+    config = DynamicsConfig(latent_dim=3, layers=1, width=6)
+    params = {k: v.data for k, v in init_dynamics(config, seed=5).items()}
+    with pytest.raises(ValueError, match=r"alpha0 must have shape \(3,\), got "
+                       + re.escape(str(alpha0.shape))):
+        integrate(config, params, alpha0, 0.0, [0.0, 1.0])
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A dataset and, per architecture, a model and its saved file."""
@@ -162,3 +174,15 @@ def test_blocked_siren_decode_is_bitwise_equal(trained, monkeypatch):
     blocked = _forecast(ds, model)
     assert calls == [5, 5, 2]
     assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["hyper", "siren"])
+def test_forecast_rejects_a_field_of_the_wrong_shape(trained, arch):
+    ds, models = trained
+    model = models[arch][0]
+    u0 = ds.test[0].snapshots[0]  # (N, 1)
+    want = re.escape(str(u0.shape))
+    for bad in (np.stack([u0, u0]), u0[:-1], u0[:, 0]):
+        with pytest.raises(ValueError, match=f"u0 must have shape {want}.*got "
+                           + re.escape(str(bad.shape))):
+            forecast(model, bad, ds.obs_coords, [0.0, ds.snapshot_dt])

@@ -23,7 +23,7 @@ from pderom.networks import (
 )
 from pderom.solvers import Grid, SolverSpec, time_derivative
 
-from helpers import code_jacobian, fd_check_params, normal_equations_lstsq
+from helpers import code_jacobian, fd_check_params, grad, normal_equations_lstsq
 
 DIFF_GRID = Grid((-20.0, -20.0), (20.0, 20.0), (42, 42))
 DIFF_SPEC = SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": 2.0})
@@ -126,7 +126,7 @@ class TestLatentRnmse:
         def loss(params):
             return latent_rnmse(params["p"], constant(t))
 
-        _, grads = dm.grad(loss, {"p": constant(p0)})
+        _, grads = grad(loss, {"p": constant(p0)})
         expected = (p0 - t) / (np.linalg.norm(p0 - t) * np.linalg.norm(t))
         np.testing.assert_allclose(grads["p"].data, expected, rtol=1e-12)
         assert fd_check_params(loss, {"p": constant(p0)}) <= 1e-6
@@ -139,7 +139,7 @@ class TestLatentRnmse:
         def loss(params):
             return latent_rnmse(constant(p), params["t"])
 
-        _, grads = dm.grad(loss, {"t": constant(t0)})
+        _, grads = grad(loss, {"t": constant(t0)})
         expected = -(p - t0) / (np.linalg.norm(p - t0) * np.linalg.norm(t0))
         np.testing.assert_allclose(grads["t"].data, expected, rtol=1e-12)
 
@@ -184,12 +184,12 @@ class TestReconstructionLoss:
             return field_rnmse(pred, u)
 
         # gradient vanishes at the projection
-        _, grads = dm.grad(loss, {"alpha": constant(alpha_star)})
+        _, grads = grad(loss, {"alpha": constant(alpha_star)})
         assert np.abs(grads["alpha"].data).max() <= 1e-10
         # and plain gradient descent from zero converges to it
         alpha = np.zeros(3)
         for _ in range(800):
-            _, g = dm.grad(loss, {"alpha": constant(alpha)})
+            _, g = grad(loss, {"alpha": constant(alpha)})
             alpha = alpha - 0.5 * g["alpha"].data
         np.testing.assert_allclose(alpha, alpha_star, atol=1e-4)
 
@@ -344,7 +344,7 @@ class TestTotalLoss:
                 total = dm.add(total, dm.add(dm.mul(rec, 0.25), dm.mul(dyn_term, 0.25)))
             return total
 
-        _, g_ship = dm.grad(shipped, params)
+        _, g_ship = grad(shipped, params)
         assert fd_check_params(frozen, params, grads=g_ship) <= 1e-4
 
 

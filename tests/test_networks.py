@@ -17,7 +17,7 @@ from pderom.networks import (
     init_dynamics,
 )
 
-from helpers import code_jacobian, fd_check_params
+from helpers import code_jacobian, fd_check_params, parameter, siren_tangents_forward
 
 SIREN = DecoderConfig("siren", latent_dim=3, layers=2, width=16, coord_dim=2,
                       out_channels=2, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
@@ -292,7 +292,7 @@ class TestJacobian:
 
         n = J.shape[0]
         for row in range(n):
-            leaf = dm.parameter(alpha)
+            leaf = parameter(alpha)
             out = decode(config, params, leaf, X)
             flat = dm.reshape(out, (n,))
             target = dm.sum_(dm.mul(flat, constant(np.eye(n)[row])))
@@ -310,14 +310,14 @@ class TestJacobian:
         assert J.shape == (3, nm, SIREN.latent_dim)
         for b in range(3):
             for row in range(nm):
-                leaf = dm.parameter(codes[b])
+                leaf = parameter(codes[b])
                 flat = dm.reshape(decode(SIREN, params, leaf, coords[b]), (nm,))
                 (g,) = backward(dm.sum_(dm.mul(flat, constant(np.eye(nm)[row]))), [leaf])
                 np.testing.assert_allclose(J[b, row], g, atol=1e-10)
 
     @pytest.mark.parametrize("arch", ["siren", "hyper"])
     def test_jacobian_differentiable_in_reverse(self, arch):
-        # forward-over-reverse: d sum(J * J) against finite differences,
+        # J differentiated in reverse: d sum(J * J) against finite differences,
         # over the parameters and, for siren, the code (hyper's J is constant in it)
         config = DecoderConfig(arch, latent_dim=3, layers=2, width=8, coord_dim=2,
                                omega0=3.0, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
@@ -333,6 +333,45 @@ class TestJacobian:
             return dm.sum_(dm.mul(J, J))
 
         assert fd_check_params(loss, params) <= 1e-5
+
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("K", [1, 3, 5, 11])
+    @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_siren_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
+        # K = 5 is the code dimension, so K runs below, at and above k
+        config = DecoderConfig("siren", latent_dim=5, layers=layers, width=12, coord_dim=2,
+                               out_channels=m, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+        params = init_decoder(config, seed=m + 10 * layers)
+        rng = np.random.default_rng(K)
+        B, n = 3, 9
+        X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
+        code_shapes = [(B, 5)] if batched_grid else [(5,), (B, 5)]
+        for shape in code_shapes:
+            alpha = constant(rng.normal(size=shape) * 0.4)
+            T = constant(rng.normal(size=(K, *shape)))
+            out = decode(config, params, dm.DualBatch(alpha, T), X, fast=fast)
+            u, dU = siren_tangents_forward(config, params, alpha, T, X, fast=fast)
+            assert out.value.data.tobytes() == u.data.tobytes()
+            assert out.tangent.shape == dU.shape == (K, *shape[:-1], n, m)
+            err = np.abs(out.tangent.data - dU.data).max() / np.abs(dU.data).max()
+            assert err <= 1e-13
+
+    @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
+    def test_siren_tangent_rows_follow_a_permutation_of_the_points(self, batched_grid):
+        # the row contract of decode, for the tangents: exact mode, bitwise
+        params = init_decoder(SIREN, seed=5)
+        rng = np.random.default_rng(17)
+        B, n = 2, 11
+        X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
+        perm = rng.permutation(n)
+        dual = dm.DualBatch(constant(rng.normal(size=(B, 3)) * 0.4),
+                            constant(rng.normal(size=(4, B, 3))))
+        out = decode(SIREN, params, dual, X)
+        out_p = decode(SIREN, params, dual, X[..., perm, :])
+        assert out_p.value.data.tobytes() == out.value.data[:, perm].tobytes()
+        assert out_p.tangent.data.tobytes() == out.tangent.data[:, :, perm].tobytes()
 
     def test_affine_decomposition_matches_decode(self):
         params = init_decoder(HYPER, seed=4)
