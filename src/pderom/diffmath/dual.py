@@ -5,9 +5,9 @@ its tangent directions and returns one of the field and its directional
 derivatives.  It is the decoder's Jacobian API: with one unit tangent per
 latent, ``decode(config, params, DualBatch(alpha, constant(eye(k))), X)``
 returns the field and, as its tangent, the (k, N, m) transposed Jacobian.
-How the tangents are computed is the decoder's business: a siren runs
-``m`` reverse sweeps (one per output channel) and contracts them with the
-tangents, so no work beyond that last contraction grows with ``k``.
+How the tangents are computed is the decoder's business: both decoders
+run ``m`` reverse sweeps (one per output channel) and contract them with
+the tangents, so no work beyond that last contraction grows with ``k``.
 The tangents are ordinary tape tensors, so a Jacobian assembled this way
 stays differentiable in reverse mode; this is what lets the training
 loss differentiate through the decoder Jacobian.

@@ -13,11 +13,11 @@ network.
 
 :func:`batch_terms` is the one definition of both terms: training runs
 it on a whole batch of snapshots at once.  For the hyper decoder it goes
-through the affine decomposition, one basis decode per step that also
-supplies every Jacobian row; for siren one dual decode gives every row
-from a single reverse sweep through the decoder.  The test suite checks
-it, values and gradients, against a per-snapshot reference built from
-the public primitives.
+through the affine decomposition, one value pass and one reverse sweep
+per step that also supply every Jacobian row; for siren one dual decode
+gives every row from a single reverse sweep through the decoder.  The
+test suite checks it, values and gradients, against a per-snapshot
+reference built from the public primitives.
 """
 
 from __future__ import annotations

@@ -18,17 +18,18 @@ field values, one coordinate at a time (mesh-free):
   code enters only through the per-layer bias shift ``W' alpha`` and the
   frequencies ``freq`` are trainable.  Because every layer is affine in
   ``alpha``, the whole decoder is an affine map of the code for a fixed
-  grid; :func:`affine_decomposition` extracts that map once so training
-  and inversion can decode whole batches with a single matmul.
+  grid; :func:`affine_decomposition` extracts that map, the value at
+  the zero code plus the code Jacobian from one dual decode, so
+  training and inversion can decode whole batches with a single matmul.
 
 Code tangents and Jacobians come from one call: ``decode`` of a
 ``DualBatch(alpha, T)`` returns the field and its derivatives along the
 K tangent directions ``T``; with ``T = eye(k)`` (one unit tangent per
 latent) the tangents are the rows of the transposed Jacobian
-``du/dalpha``.  For siren they cost ``m`` reverse sweeps (one per
-output channel) plus one contraction with ``T``, the only work that
-grows with K.  They are tape tensors, so the Jacobian stays
-differentiable in reverse mode (reverse-over-reverse).
+``du/dalpha``.  For both decoders they cost one value pass and ``m``
+reverse sweeps (one per output channel) plus one contraction with
+``T``, the only work that grows with K.  They are tape tensors, so the
+Jacobian stays differentiable in reverse mode (reverse-over-reverse).
 
 The dynamics network is an MLP with the parameterized Swish activation
 ``x * sigmoid(x * softplus(omega))``; for parameterized PDEs a trainable
@@ -224,11 +225,19 @@ def _normalized_coords(config: DecoderConfig, X) -> np.ndarray:
     return config.normalize(X)
 
 
-def _check_code(config: DecoderConfig, alpha: Tensor) -> tuple:
+def _check_code(config: DecoderConfig, alpha: Tensor, xn: np.ndarray) -> tuple:
+    """Raise ``ValueError`` unless ``alpha`` is a code (batch) for grid ``xn``.
+
+    Per-snapshot grids (B, n, d) need one code per grid, (B, k).
+    """
     shape = alpha.shape
     if shape[-1] != config.latent_dim:
         raise ValueError(
             f"latent code has dimension {shape[-1]}, expected {config.latent_dim}"
+        )
+    if xn.ndim > 2 and shape[:-1] != xn.shape[:-2]:
+        raise ValueError(
+            f"codes of shape {shape} do not match per-snapshot grids of shape {xn.shape}"
         )
     return shape
 
@@ -253,7 +262,7 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
         n, m = xn.shape[-2], config.out_channels
 
         def predict(code):
-            shape = _check_code(config, code)
+            shape = _check_code(config, code, xn)
             rows = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
             flat = dm.add(dm.matmul(rows, A, rs), c)
             return dm.reshape(flat, (*shape[:-1], n, m))
@@ -270,7 +279,7 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
     W_a = dm.slice_(W0, (slice(d, d + config.latent_dim),))
 
     def predict(code):
-        shape = _check_code(config, code)
+        shape = _check_code(config, code, xn)
         q = dm.mul(dm.matmul(dm.reshape(code, (*shape[:-1], 1, shape[-1])), W_a, rs),
                    omega0)
         z = dm.sin_shift(sin_p, cos_p, q)
@@ -287,8 +296,9 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
 
     ``alpha`` is a Tensor of shape (k,) or (B, k), and ``X`` is (N, d)
     physical coordinates shared by the batch, or (B, N, d) per-snapshot
-    grids.  Rows of the output are computed independently; permuting
-    ``X`` permutes the rows, exactly.
+    grids, one per code; other code shapes raise ``ValueError``.  Rows
+    of the output are computed independently; permuting ``X`` permutes
+    the rows, exactly.
 
     Exact mode computes every matmul one output row at a time (see
     ``dm.matmul``'s ``row_stable``).  ``fast=True`` switches them to
@@ -306,14 +316,19 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
     if config.architecture == "siren":
         return grid_decoder(config, params, X, fast)(alpha)
     xn = _normalized_coords(config, X)
-    _check_code(config, alpha)
-    rs = not fast
+    _check_code(config, alpha, xn)
+    return _hyper_value(config, params, alpha, xn, not fast)[0]
+
+
+def _hyper_value(config: DecoderConfig, params: dict, alpha: Tensor,
+                 xn: np.ndarray, rs: bool):
+    """The hyper field on normalized coordinates, and each layer's trig."""
     xn_t = constant(xn)
-    z = xn_t
+    z, trigs = xn_t, []
     for i in range(config.layers):
-        trig = _hyper_trig(params, xn_t, i, rs)
-        z = hyper_layer(z, trig, _layer(params, f"l{i}"), alpha, rs=rs)
-    return hyper_layer(z, None, _layer(params, "out"), alpha, final=True, rs=rs)
+        trigs.append(_hyper_trig(params, xn_t, i, rs))
+        z = hyper_layer(z, trigs[-1], _layer(params, f"l{i}"), alpha, rs=rs)
+    return hyper_layer(z, None, _layer(params, "out"), alpha, final=True, rs=rs), trigs
 
 
 def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
@@ -321,30 +336,33 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
     """The field and its code tangents, by the chain rule written out.
 
     Every step is a tape op, so the tangents stay differentiable in
-    reverse mode.  A siren acts pointwise with ``m`` outputs per point,
-    so its code gradients come from ``m`` reverse (adjoint) sweeps,
-    vectorized over the points: seed ``g = out.W^T``, then per layer
-    from the last down ``g -> (g * cos(pre)) @ (omega0 W^T)``, with the
-    first layer's code rows ``W_a`` at the bottom.  That gives the
-    (m, ..., n, k) gradient of each output with respect to the code, at
-    the cost of ``m`` passes whatever the number of tangents; only the
-    final contraction with the K tangents ``T`` scales with K.
+    reverse mode.  Both decoders act pointwise with ``m`` outputs per
+    point, so the code gradients come from ``m`` reverse (adjoint)
+    sweeps, vectorized over the points, after one value pass.  That
+    gives the (m, ..., n, k) gradient of each output with respect to the
+    code, at the cost of ``m`` sweeps whatever the number of tangents;
+    only the final contraction with the K tangents ``T`` scales with K.
 
-    Hyper runs forward mode: the code enters through a (K, ..., 1, width)
-    term ``T @ Wm`` of every bias shift, and a layer maps
-    ``dz -> (dz @ W + T @ Wm) * trig``.  Training takes hyper Jacobian
-    rows from :func:`affine_decomposition` instead; this branch is the
-    independent check on that map.
+    Siren: seed ``g = out.W^T``, then per layer from the last down
+    ``g -> (g * cos(pre)) @ (omega0 W^T)``, with the first layer's code
+    rows ``W_a`` at the bottom.
+
+    Hyper: the code enters every layer through its bias shift
+    ``alpha @ Wm``, so seed ``g = out.W^T`` and ``grad = out.Wm^T``, then
+    per layer from the last down ``h = g * trig``, ``grad += h @ Wm^T``
+    and ``g = h @ W^T``.  The gradients do not depend on the code: a
+    batch of codes on a shared grid pays for one sweep.
     """
     a = alpha.value
     xn = _normalized_coords(config, X)
-    shape = _check_code(config, a)
+    shape = _check_code(config, a, xn)
     rs = not fast
-    a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
+    m, lead = config.out_channels, len(shape) - 1
 
     if config.architecture == "siren":
         # value through the concatenated [x, alpha] first layer: every
         # snapshot may come with its own points, so no grid part is shared
+        a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
         omega0 = constant(np.float64(config.omega0))
         n, d = xn.shape[-2], config.coord_dim
         z = dm.concat([constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
@@ -357,30 +375,25 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
         u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
         # one adjoint per output channel, (m, ..., 1, width), broadcast
         # over the points by the first cos(pre)
-        m, lead = config.out_channels, len(shape) - 1
         g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
         W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
         for i in reversed(range(config.layers)):
             W = params[f"l{i}.W"] if i else W_a
             g = dm.matmul(dm.mul(g, dm.cos(pres[i])), dm.mul(dm.transpose(W), omega0), rs)
-        # contract the (m, ..., n, k) code gradients with T^T (..., k, K)
-        T_t = dm.transpose(alpha.tangent, (*range(1, lead + 2), 0))
-        dU = dm.matmul(g, T_t, rs)  # (m, ..., n, K)
-        return DualBatch(u, dm.transpose(dU, (lead + 2, *range(1, lead + 2), 0)))
-
-    T = dm.reshape(alpha.tangent, (alpha.num_tangents, *a_row.shape))
-    xn_t = constant(xn)
-    z, dz = xn_t, None
-    for i in range(config.layers):
-        layer = _layer(params, f"l{i}")
-        trig = _hyper_trig(params, xn_t, i, rs)
-        shift = dm.matmul(T, layer["Wm"], rs)
-        dpre = shift if dz is None else dm.add(dm.matmul(dz, layer["W"], rs), shift)
-        z = hyper_layer(z, trig, layer, a, rs=rs)
-        dz = dm.mul(dpre, trig)
-    out = _layer(params, "out")
-    u = hyper_layer(z, None, out, a, final=True, rs=rs)
-    return DualBatch(u, dm.add(dm.matmul(dz, out["W"], rs), dm.matmul(T, out["Wm"], rs)))
+    else:
+        u, trigs = _hyper_value(config, params, a, xn, rs)
+        g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
+        grad = dm.reshape(dm.transpose(params["out.Wm"]), (m, *(1,) * lead, 1, shape[-1]))
+        for i in reversed(range(config.layers)):
+            h = dm.mul(g, trigs[i])
+            grad = dm.add(grad, dm.matmul(h, dm.transpose(params[f"l{i}.Wm"]), rs))
+            if i:
+                g = dm.matmul(h, dm.transpose(params[f"l{i}.W"]), rs)
+        g = grad
+    # contract the (m, ..., n, k) code gradients with T^T (..., k, K)
+    T_t = dm.transpose(alpha.tangent, (*range(1, lead + 2), 0))
+    dU = dm.matmul(g, T_t, rs)  # (m, ..., n, K)
+    return DualBatch(u, dm.transpose(dU, (lead + 2, *range(1, lead + 2), 0)))
 
 
 def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
@@ -389,19 +402,25 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
 
     Returns ``(A, c)`` with ``A`` of shape (k, N*m) and ``c`` of shape
     (N*m,), both tape tensors.  Exact for the hyper architecture, whose
-    layers are affine in the code; rejected for siren.  Decoding a batch
-    then costs one (B, k) x (k, N*m) matmul instead of B network passes.
+    layers are affine in the code; rejected for siren.  ``X`` is one
+    grid of shape (N, d).  ``c`` is the decode of the zero code and
+    ``A`` its code Jacobian, from one dual decode with unit tangents:
+    one value pass plus ``m`` reverse sweeps.  Decoding a batch then
+    costs one (B, k) x (k, N*m) matmul instead of B network passes.
     """
     if config.architecture != "hyper":
         raise ValueError("affine decomposition requires the hyper architecture")
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(
+            f"affine decomposition needs one grid of shape (N, {config.coord_dim}), "
+            f"got coordinates of shape {X.shape}"
+        )
     k = config.latent_dim
-    basis = np.vstack([np.zeros((1, k)), np.eye(k)])
-    out = decode(config, params, constant(basis), X, fast=fast)  # (k+1, N, m)
-    nm = out.shape[1] * out.shape[2]
-    flat = dm.reshape(out, (k + 1, nm))
-    c = dm.reshape(dm.slice_(flat, (slice(0, 1),)), (nm,))
-    A = dm.sub(dm.slice_(flat, (slice(1, k + 1),)), c)
-    return A, c
+    out = decode(config, params, DualBatch(constant(np.zeros(k)), constant(np.eye(k))),
+                 X, fast=fast)
+    nm = out.value.shape[0] * out.value.shape[1]
+    return dm.reshape(out.tangent, (k, nm)), dm.reshape(out.value, (nm,))
 
 
 def _swish(x, omega):

@@ -3,11 +3,12 @@
 These deliberately avoid the library's differentiation machinery: the
 finite-difference gradient checker calls the function under test as a
 black box, and the reference solutions are closed-form or brute-force.
-The exceptions build on the tape: :func:`code_jacobian` spells out the
-decoder's Jacobian API for the tests that check it or build on it,
-:func:`siren_tangents_forward` is the forward-mode reference for the
-siren code tangents, and :func:`parameter` and :func:`grad` are the
-tests' shorthand for differentiating a function of named leaves.
+The exceptions build on the tape: :func:`siren_tangents_forward` and
+:func:`hyper_tangents_forward` are forward-mode references for the
+decoders' code tangents, independent of the library's reverse sweeps;
+:func:`code_jacobian` builds the code Jacobian from them for the tests
+that build on it; and :func:`parameter` and :func:`grad` are the tests'
+shorthand for differentiating a function of named leaves.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from pderom import diffmath as dm
-from pderom.networks import decode
+from pderom.networks import hyper_layer
 
 
 def parameter(x) -> dm.Tensor:
@@ -45,10 +46,15 @@ def grad(scalar_fn, params):
 
 
 def code_jacobian(config, params, alpha, X):
-    """(N*m, k) Jacobian of the flattened decoded field w.r.t. one code."""
+    """(N*m, k) Jacobian of the flattened decoded field w.r.t. one code.
+
+    Built in forward mode from unit tangents, so it does not run the
+    library's Jacobian; a tape tensor, differentiable in reverse mode.
+    """
     k = config.latent_dim
-    out = decode(config, params, dm.DualBatch(dm.as_tensor(alpha), dm.constant(np.eye(k))), X)
-    return dm.transpose(dm.reshape(out.tangent, (k, -1)))
+    forward = siren_tangents_forward if config.architecture == "siren" else hyper_tangents_forward
+    _, dU = forward(config, params, alpha, dm.constant(np.eye(k)), X)
+    return dm.transpose(dm.reshape(dU, (k, -1)))
 
 
 def siren_tangents_forward(config, params, alpha, T, X, fast=False):
@@ -81,6 +87,34 @@ def siren_tangents_forward(config, params, alpha, T, X, fast=False):
         dz = dm.mul(dm.cos(pre), dm.mul(dz, omega0))
     u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
     return u, dm.matmul(dz, params["out.W"], rs)
+
+
+def hyper_tangents_forward(config, params, alpha, T, X, fast=False):
+    """Hyper field and code tangents in forward mode, one copy per tangent.
+
+    The reference for ``decode`` of a ``DualBatch(alpha, T)``: the value
+    runs the same ops as the library, and the code enters every layer
+    through a (K, ..., 1, width) term ``T @ Wm`` of its bias shift, so a
+    layer maps ``dz -> (dz @ W + T @ Wm) * trig`` and the head adds
+    ``T @ out.Wm``.  Shapes as in :func:`siren_tangents_forward`.
+    """
+    a, T = dm.as_tensor(alpha), dm.as_tensor(T)
+    shape = a.shape
+    rs = not fast
+    T = dm.reshape(T, (T.shape[0], *shape[:-1], 1, shape[-1]))
+    xn_t = dm.constant(config.normalize(X))
+    z, dz = xn_t, None
+    for i in range(config.layers):
+        layer = {key: params[f"l{i}.{key}"] for key in ("W", "b", "Wm")}
+        phase = dm.matmul(xn_t, dm.transpose(params[f"l{i}.freq"]), rs)
+        trig = dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1)
+        shift = dm.matmul(T, layer["Wm"], rs)
+        dpre = shift if dz is None else dm.add(dm.matmul(dz, layer["W"], rs), shift)
+        z = hyper_layer(z, trig, layer, a, rs=rs)
+        dz = dm.mul(dpre, trig)
+    out = {key: params[f"out.{key}"] for key in ("W", "b", "Wm")}
+    u = hyper_layer(z, None, out, a, final=True, rs=rs)
+    return u, dm.add(dm.matmul(dz, out["W"], rs), dm.matmul(T, out["Wm"], rs))
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

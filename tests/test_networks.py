@@ -16,8 +16,15 @@ from pderom.networks import (
     init_decoder,
     init_dynamics,
 )
+from pderom.solvers import Grid
 
-from helpers import code_jacobian, fd_check_params, parameter, siren_tangents_forward
+from helpers import (
+    code_jacobian,
+    fd_check_params,
+    hyper_tangents_forward,
+    parameter,
+    siren_tangents_forward,
+)
 
 SIREN = DecoderConfig("siren", latent_dim=3, layers=2, width=16, coord_dim=2,
                       out_channels=2, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
@@ -45,6 +52,36 @@ def test_dynamics_config_rejects_non_integer_counts(field, value):
     kwargs = dict(latent_dim=4, layers=2, width=8)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         DynamicsConfig(**{**kwargs, field: value})
+
+
+def library_jacobian(config, params, alpha, X):
+    """(N*m, k) code Jacobian from the library: ``decode`` of a ``DualBatch``."""
+    k = config.latent_dim
+    out = decode(config, params, dm.DualBatch(dm.as_tensor(alpha), constant(np.eye(k))), X)
+    return dm.transpose(dm.reshape(out.tangent, (k, -1)))
+
+
+def check_tangents_match_forward_mode(arch, m, layers, batched_grid, K, fast):
+    """``decode`` of a ``DualBatch`` against the forward-mode reference:
+    values bitwise, tangents within 1e-13 relative."""
+    # K = 5 is the code dimension, so K runs below, at and above k
+    config = DecoderConfig(arch, latent_dim=5, layers=layers, width=12, coord_dim=2,
+                           out_channels=m, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+    forward = siren_tangents_forward if arch == "siren" else hyper_tangents_forward
+    params = init_decoder(config, seed=m + 10 * layers)
+    rng = np.random.default_rng(K)
+    B, n = 3, 9
+    X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
+    code_shapes = [(B, 5)] if batched_grid else [(5,), (B, 5)]
+    for shape in code_shapes:
+        alpha = constant(rng.normal(size=shape) * 0.4)
+        T = constant(rng.normal(size=(K, *shape)))
+        out = decode(config, params, dm.DualBatch(alpha, T), X, fast=fast)
+        u, dU = forward(config, params, alpha, T, X, fast=fast)
+        assert out.value.data.tobytes() == u.data.tobytes()
+        assert out.tangent.shape == dU.shape == (K, *shape[:-1], n, m)
+        err = np.abs(out.tangent.data - dU.data).max() / np.abs(dU.data).max()
+        assert err <= 1e-13
 
 
 def reference_siren(params, config, alpha, X):
@@ -138,6 +175,19 @@ class TestDecode:
         config, params, X, alpha = setup
         with pytest.raises(ValueError, match="coordinates have dimension"):
             decode(config, params, constant(alpha), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+    @pytest.mark.parametrize("code_shape", [(3,), (1,), ()], ids=["3", "1", "single"])
+    def test_code_batch_must_match_per_snapshot_grids(self, setup, code_shape, dual):
+        config, params, X, _ = setup
+        k = config.latent_dim
+        alpha = constant(np.zeros((*code_shape, k)))
+        if dual:
+            alpha = dm.DualBatch(alpha, constant(np.ones((2, *code_shape, k))))
+        grids = X[:10].reshape(2, 5, 2)
+        shapes = rf"\({', '.join(map(str, (*code_shape, k)))},?\).*\(2, 5, 2\)"
+        with pytest.raises(ValueError, match=shapes):
+            decode(config, params, alpha, grids)
 
     @pytest.mark.parametrize("arch", ["siren", "hyper"])
     def test_each_point_alone_matches_full_grid_at_benchmark_size(self, arch):
@@ -288,7 +338,7 @@ class TestJacobian:
         rng = np.random.default_rng(8)
         X = rng.uniform(-0.5, 0.5, size=(6, 2))
         alpha = rng.normal(size=config.latent_dim) * 0.3
-        J = code_jacobian(config, params, constant(alpha), X).data
+        J = library_jacobian(config, params, constant(alpha), X).data
 
         n = J.shape[0]
         for row in range(n):
@@ -329,7 +379,7 @@ class TestJacobian:
             params["alpha"] = alpha
 
         def loss(p):
-            J = code_jacobian(config, p, p.get("alpha", alpha), X)
+            J = library_jacobian(config, p, p.get("alpha", alpha), X)
             return dm.sum_(dm.mul(J, J))
 
         assert fd_check_params(loss, params) <= 1e-5
@@ -340,23 +390,7 @@ class TestJacobian:
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
     def test_siren_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
-        # K = 5 is the code dimension, so K runs below, at and above k
-        config = DecoderConfig("siren", latent_dim=5, layers=layers, width=12, coord_dim=2,
-                               out_channels=m, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
-        params = init_decoder(config, seed=m + 10 * layers)
-        rng = np.random.default_rng(K)
-        B, n = 3, 9
-        X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
-        code_shapes = [(B, 5)] if batched_grid else [(5,), (B, 5)]
-        for shape in code_shapes:
-            alpha = constant(rng.normal(size=shape) * 0.4)
-            T = constant(rng.normal(size=(K, *shape)))
-            out = decode(config, params, dm.DualBatch(alpha, T), X, fast=fast)
-            u, dU = siren_tangents_forward(config, params, alpha, T, X, fast=fast)
-            assert out.value.data.tobytes() == u.data.tobytes()
-            assert out.tangent.shape == dU.shape == (K, *shape[:-1], n, m)
-            err = np.abs(out.tangent.data - dU.data).max() / np.abs(dU.data).max()
-            assert err <= 1e-13
+        check_tangents_match_forward_mode("siren", m, layers, batched_grid, K, fast)
 
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     def test_siren_tangent_rows_follow_a_permutation_of_the_points(self, batched_grid):
@@ -373,18 +407,50 @@ class TestJacobian:
         assert out_p.value.data.tobytes() == out.value.data[:, perm].tobytes()
         assert out_p.tangent.data.tobytes() == out.tangent.data[:, :, perm].tobytes()
 
+    @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("K", [1, 3, 5, 11])
+    @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_hyper_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
+        check_tangents_match_forward_mode("hyper", m, layers, batched_grid, K, fast)
+
     def test_affine_decomposition_matches_decode(self):
-        params = init_decoder(HYPER, seed=4)
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, size=(9, 2))
-        A, c = affine_decomposition(HYPER, params, X)
-        batch = rng.normal(size=(5, HYPER.latent_dim))
-        via_affine = batch @ A.data + c.data
-        direct = decode(HYPER, params, constant(batch), X).data.reshape(5, -1)
-        np.testing.assert_allclose(via_affine, direct, atol=1e-12)
-        # and the affine matrix is exactly the Jacobian at any code
-        J = code_jacobian(HYPER, params, constant(batch[0]), X).data
-        np.testing.assert_allclose(A.data.T, J, atol=1e-12)
+        for m in (1, 2):
+            config = DecoderConfig("hyper", latent_dim=4, layers=2, width=12, coord_dim=2,
+                                   out_channels=m, coord_lo=(-1.0, -1.0), coord_hi=(1.0, 1.0))
+            params = init_decoder(config, seed=4)
+            A, c = affine_decomposition(config, params, X)
+            assert A.shape == (4, 9 * m) and c.shape == (9 * m,)
+            zero = decode(config, params, constant(np.zeros(4)), X).data
+            assert c.data.tobytes() == zero.reshape(-1).tobytes()
+            batch = rng.normal(size=(5, 4))
+            via_affine = batch @ A.data + c.data
+            direct = decode(config, params, constant(batch), X).data.reshape(5, -1)
+            np.testing.assert_allclose(via_affine, direct, atol=1e-12)
+            # and the affine matrix is the code Jacobian, at any code
+            J = code_jacobian(config, params, constant(batch[0]), X).data
+            assert np.abs(A.data.T - J).max() <= 1e-13 * np.abs(J).max()
+
+    def test_affine_map_rows_follow_a_subset_of_the_grid_at_benchmark_size(self):
+        # the exact-mode row contract the hyper forecast decode relies on:
+        # the benchmark's decoder on the diffusion grid, bitwise
+        config = DecoderConfig("hyper", latent_dim=8, layers=3, width=64, coord_dim=2,
+                               coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
+        params = init_decoder(config, seed=3)
+        X = Grid((-20.0, -20.0), (20.0, 20.0), (42, 42)).coords()
+        A, c = affine_decomposition(config, params, X)
+        pick = np.random.default_rng(19).permutation(len(X))[:50]
+        A_sub, c_sub = affine_decomposition(config, params, X[pick])
+        assert A_sub.data.tobytes() == np.ascontiguousarray(A.data[:, pick]).tobytes()
+        assert c_sub.data.tobytes() == c.data[pick].tobytes()
+
+    def test_affine_decomposition_rejects_per_snapshot_grids(self):
+        params = init_decoder(HYPER, seed=4)
+        with pytest.raises(ValueError, match=r"\(N, 2\).*\(3, 5, 2\)"):
+            affine_decomposition(HYPER, params, np.zeros((3, 5, 2)))
 
     def test_affine_rejected_for_siren(self):
         params = init_decoder(SIREN, seed=4)
