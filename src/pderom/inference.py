@@ -48,8 +48,8 @@ class InversionConfig:
         _check_counts(self, ("steps",))
         if self.steps < 1:
             raise ValueError("inversion needs at least one step")
-        if self.lr <= 0:
-            raise ValueError("inversion lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("inversion lr must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class IntegratorConfig:
     atol: float = 1e-6
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("tolerances must be positive")
 
 

@@ -100,8 +100,10 @@ class DecoderConfig:
             raise ValueError("hyper decoder width must be even (cos/sin split)")
         if len(self.coord_lo) not in (0, self.coord_dim) or len(self.coord_hi) != len(self.coord_lo):
             raise ValueError("coordinate bounds must match coord_dim or be empty")
-        if any(hi <= lo for lo, hi in zip(self.coord_lo, self.coord_hi)):
-            raise ValueError("coord_hi must exceed coord_lo on every axis")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in zip(self.coord_lo, self.coord_hi)):
+            raise ValueError("coord_hi must exceed coord_lo on every axis, both finite")
+        if not 0 < self.omega0 < np.inf:
+            raise ValueError(f"omega0 must be positive and finite, got {self.omega0!r}")
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
         """Map physical coordinates into [-1, 1] per axis."""

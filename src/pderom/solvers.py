@@ -6,13 +6,15 @@ of a solver step flow back to the input field (and, for the forced
 Burgers' problem, to its source parameter):
 
 * ``diffusion2d`` - FTCS for ``u_t = kappa * lap(u)`` on a rectangle
-  with zero Dirichlet boundaries.  The boundary ring of the input is
-  treated as zero and the output ring stays zero, which makes the step
-  exactly linear in the field.
+  with zero Dirichlet boundaries.  Only the interior is updated, from
+  its own values padded with a zero ring; the result is padded with the
+  same ring.  So the input's ring is never read, the output's ring is
+  +0.0, and the step is exactly linear in the field.
 * ``burgers1d`` - Godunov upwind flux for the convex flux ``w^2 / 2``
-  plus the exponential source ``0.02 * exp(mu * x)``.  The left boundary
-  is an inflow held at ``w = 1`` (ghost state and output pin); the right
-  boundary is zero-gradient outflow.
+  plus the exponential source ``0.02 * exp(mu * x)``.  Only cells
+  1..n-1 are updated; the inflow value ``w = 1`` is prepended as cell 0.
+  The right boundary is zero-gradient outflow: the last interface takes
+  cell n-1 as both its states.
 
 A solver also defines the time derivative used by the training loss:
 ``(S^n[u] - u) / (n * dt)`` where ``n`` is ``derivative_steps`` (1 gives
@@ -23,7 +25,7 @@ need it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +68,11 @@ class CFLError(SolverError):
         self.rows = list(rows)  # flat indices over the leading batch axes
 
 
+def _is_integer(value) -> bool:
+    # the rule of networks._check_counts: bools and floats are not counts
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Regular tensor-product grid; axis order matches field array axes."""
@@ -77,10 +84,13 @@ class Grid:
     def __post_init__(self):
         if not (len(self.lo) == len(self.hi) == len(self.shape)):
             raise ValueError("lo, hi, shape must agree in length")
+        if not all(_is_integer(n) for n in self.shape):
+            raise ValueError(f"grid shape entries must be integers, got {self.shape!r}")
         if any(n < 2 for n in self.shape):
             raise ValueError("need at least two points per axis")
-        if any(hi <= lo for lo, hi in zip(self.lo, self.hi)):
-            raise ValueError(f"grid bounds need hi > lo on every axis: {self.lo}, {self.hi}")
+        if not all(-np.inf < lo < hi < np.inf for lo, hi in zip(self.lo, self.hi)):
+            raise ValueError(f"grid bounds need finite hi > lo on every axis: "
+                             f"{self.lo}, {self.hi}")
 
     @property
     def ndim(self) -> int:
@@ -130,16 +140,19 @@ class SolverSpec:
     def __post_init__(self):
         if self.pde not in ("diffusion2d", "burgers1d"):
             raise SolverError(f"unknown pde {self.pde!r}")
-        if self.dt <= 0:
-            raise SolverError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise SolverError(f"dt must be positive and finite, got {self.dt!r}")
+        if not _is_integer(self.derivative_steps):
+            raise SolverError(
+                f"derivative_steps must be an integer, got {self.derivative_steps!r}")
         if self.derivative_steps < 1:
             raise SolverError("derivative_steps must be >= 1")
         if self.pde == "diffusion2d":
             if self.grid.ndim != 2:
                 raise SolverError("diffusion2d needs a 2-D grid")
             kappa = self.params.get("kappa", 0.0)
-            if kappa <= 0:
-                raise SolverError("diffusion2d needs kappa > 0")
+            if not 0 < kappa < np.inf:
+                raise SolverError(f"diffusion2d needs a finite kappa > 0, got {kappa!r}")
             h = min(self.grid.spacing)
             limit = h * h / (4.0 * kappa)
             if self.dt > limit:
@@ -157,55 +170,38 @@ class SolverSpec:
         return burgers_step(u, mu, self.dt, self.grid)
 
 
-def _shift2d(u, dy: int, dx: int):
-    """Shift the last two axes with zero fill: out[i, j] = u[i-dy, j-dx]."""
-    nd = u.ndim
-    ny, nx = u.shape[-2], u.shape[-1]
-    pw = [(0, 0)] * (nd - 2) + [
-        (max(dy, 0), max(-dy, 0)),
-        (max(dx, 0), max(-dx, 0)),
-    ]
-    padded = dm.pad_zero(u, tuple(pw))
-    key = (slice(None),) * (nd - 2) + (
-        slice(max(-dy, 0), max(-dy, 0) + ny),
-        slice(max(-dx, 0), max(-dx, 0) + nx),
-    )
-    return dm.slice_(padded, key)
-
-
-@lru_cache(maxsize=16)
-def _interior_mask(shape: tuple) -> np.ndarray:
-    mask = np.zeros(shape)
-    mask[1:-1, 1:-1] = 1.0
-    mask.flags.writeable = False
-    return mask
-
-
 def diffusion_step(u, kappa: float, dt: float, grid: Grid) -> Tensor:
     """One FTCS step of 2-D diffusion with zero Dirichlet boundaries.
 
-    The input's boundary ring is treated as zero (decoded fields carry
-    arbitrary values there); the output ring is exactly zero.  Linear in
-    ``u`` and differentiable through the stencil.
+    Only the interior cells are read and updated.  They are zero-padded
+    once, so the stencil sees a zero boundary ring whatever the input
+    carries there (decoded fields carry arbitrary values), and the
+    updated interior is padded again, so the output ring is exactly
+    +0.0.  Linear in ``u`` and differentiable through the stencil.
     """
     u = as_tensor(u)
     ny, nx = grid.shape
     if u.shape[-2:] != (ny, nx):
         raise SolverError(f"field shape {u.shape[-2:]} does not match grid {grid.shape}")
     hy, hx = grid.spacing
-    mask = constant(_interior_mask((ny, nx)))
-    uz = dm.mul(u, mask)
+    lead = (slice(None),) * (u.ndim - 2)
+    ring = ((0, 0),) * (u.ndim - 2) + ((1, 1), (1, 1))
+    inner = slice(1, -1)
+    ui = dm.slice_(u, lead + (inner, inner))
+    uz = dm.pad_zero(ui, ring)
     lap = dm.add(
         dm.mul(
-            dm.add(_shift2d(uz, 1, 0), _shift2d(uz, -1, 0)) - dm.mul(uz, 2.0),
+            dm.add(dm.slice_(uz, lead + (slice(0, -2), inner)),
+                   dm.slice_(uz, lead + (slice(2, None), inner))) - dm.mul(ui, 2.0),
             1.0 / (hy * hy),
         ),
         dm.mul(
-            dm.add(_shift2d(uz, 0, 1), _shift2d(uz, 0, -1)) - dm.mul(uz, 2.0),
+            dm.add(dm.slice_(uz, lead + (inner, slice(0, -2))),
+                   dm.slice_(uz, lead + (inner, slice(2, None)))) - dm.mul(ui, 2.0),
             1.0 / (hx * hx),
         ),
     )
-    return dm.mul(dm.add(uz, dm.mul(lap, kappa * dt)), mask)
+    return dm.pad_zero(dm.add(ui, dm.mul(lap, kappa * dt)), ring)
 
 
 def _godunov_flux(left, right):
@@ -221,8 +217,12 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
 
     ``mu`` parameterizes the source ``0.02 * exp(mu x)`` and may be a
     scalar or a tensor broadcastable to the leading axes of ``w``
-    (shape (..., 1) for a batch).  Differentiable in both ``w`` and
-    ``mu``.  Raises :class:`CFLError` when ``dt * max|w| / h > 1``.
+    (shape (..., 1) for a batch).  Cells 1..n-1 are updated from the
+    fluxes at their interfaces, the last of which copies cell n-1 as
+    its right state (zero-gradient outflow); the inflow value
+    ``w = 1`` is then prepended as cell 0.  Differentiable in both
+    ``w`` and ``mu``.  Raises :class:`CFLError` when
+    ``dt * max|w| / h > 1``.
     """
     if mu is None:
         raise SolverError("burgers1d needs mu: pass beta or set params['mu']")
@@ -237,38 +237,25 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
     if cfl > 1.0:
         row_cfl = dt * np.abs(w.data).max(axis=-1) / h
         raise CFLError(cfl, max_w, np.flatnonzero(row_cfl > 1.0).tolist() if lead else [])
-    inflow = constant(np.broadcast_to(BURGERS_INFLOW, (*lead, 1)))
-    left = dm.concat([inflow, w], axis=-1)
-    right = dm.concat([w, dm.slice_(w, (slice(None),) * len(lead) + (slice(n - 1, n),))], axis=-1)
-    flux = _godunov_flux(left, right)  # (..., n+1) interface fluxes
+    key = (slice(None),) * len(lead)
+    right = dm.concat([dm.slice_(w, key + (slice(1, n),)),
+                       dm.slice_(w, key + (slice(n - 1, n),))], axis=-1)
+    flux = _godunov_flux(w, right)  # (..., n) fluxes at interfaces 1..n
     df = dm.sub(
-        dm.slice_(flux, (slice(None),) * len(lead) + (slice(1, n + 1),)),
-        dm.slice_(flux, (slice(None),) * len(lead) + (slice(0, n),)),
+        dm.slice_(flux, key + (slice(1, n),)),
+        dm.slice_(flux, key + (slice(0, n - 1),)),
     )
 
     x = grid._coords.reshape(-1)
     mu_t = as_tensor(mu)
     if mu_t.ndim > 0 and mu_t.shape[-1] != 1:
         raise SolverError("mu must be a scalar or have a trailing axis of size 1")
-    source = dm.mul(dm.exp(dm.mul(mu_t, constant(x))), BURGERS_SOURCE_SCALE * dt)
-    updated = dm.add(dm.sub(w, dm.mul(df, dt / h)), source)
-
-    keep, pin = _inflow_pin(n)
-    return dm.add(dm.mul(updated, constant(keep)), constant(pin))
-
-
-@lru_cache(maxsize=16)
-def _inflow_pin(n: int) -> tuple:
-    """Read-only ``keep``/``pin`` vectors that hold the inflow cell at w = 1.
-
-    ``w * keep + pin`` sets output w[0] = 1 regardless of the input state.
-    """
-    keep = np.ones(n)
-    keep[0] = 0.0
-    pin = np.zeros(n)
-    pin[0] = BURGERS_INFLOW
-    keep.flags.writeable = pin.flags.writeable = False
-    return keep, pin
+    source = dm.mul(dm.exp(dm.mul(mu_t, constant(x[1:]))), BURGERS_SOURCE_SCALE * dt)
+    # w[1:] sliced again, not shared with ``right``: one shared slice
+    # would reorder the gradient's accumulation
+    updated = dm.add(dm.sub(dm.slice_(w, key + (slice(1, n),)), dm.mul(df, dt / h)), source)
+    inflow = constant(np.broadcast_to(BURGERS_INFLOW, (*lead, 1)))
+    return dm.concat([inflow, updated], axis=-1)
 
 
 def time_derivative(spec: SolverSpec, u, beta=None) -> Tensor:

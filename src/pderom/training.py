@@ -72,16 +72,16 @@ class TrainingConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
-        if self.lr0 <= 0:
-            raise ValueError("lr0 must be positive")
+        if not 0 < self.lr0 < np.inf:
+            raise ValueError("lr0 must be positive and finite")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError("decay_rate must lie in (0, 1]")
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

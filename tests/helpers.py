@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's differentiation machinery: the
 finite-difference gradient checker calls the function under test as a
-black box, and the reference solutions are closed-form or brute-force.
+black box, and the reference solutions are closed-form, brute-force or
+plain-numpy restatements of a scheme (:func:`ftcs_step`,
+:func:`godunov_step`).
 The exceptions build on the tape: :func:`siren_tangents_forward` and
 :func:`hyper_tangents_forward` are forward-mode references for the
 decoders' code tangents, independent of the library's reverse sweeps;
@@ -199,3 +201,39 @@ def heat_kernel_2d(xy: np.ndarray, t: float, sigma: float, amp: float,
     s2 = sigma**2 + 2.0 * kappa * t
     r2 = (xy[:, 0] - center[0]) ** 2 + (xy[:, 1] - center[1]) ** 2
     return amp * (sigma**2 / s2) * np.exp(-r2 / (2.0 * s2))
+
+
+def ftcs_step(u: np.ndarray, kappa: float, dt: float, hy: float, hx: float) -> np.ndarray:
+    """One FTCS diffusion step in plain numpy, zero Dirichlet ring.
+
+    The interior is updated from its own values with every neighbour on
+    the ring taken as zero, whatever ``u`` holds there; the output ring is
+    zero.  The arithmetic follows the library's operation order, so the
+    interior agrees bitwise.  ``u`` may carry leading batch axes.
+    """
+    c = u[..., 1:-1, 1:-1]
+    z = np.zeros_like(u)
+    z[..., 1:-1, 1:-1] = c
+    lap_y = ((z[..., :-2, 1:-1] + z[..., 2:, 1:-1]) - c * 2.0) * (1.0 / (hy * hy))
+    lap_x = ((z[..., 1:-1, :-2] + z[..., 1:-1, 2:]) - c * 2.0) * (1.0 / (hx * hx))
+    out = np.zeros_like(u)
+    out[..., 1:-1, 1:-1] = c + (lap_y + lap_x) * (kappa * dt)
+    return out
+
+
+def godunov_step(w: np.ndarray, mu, dt: float, h: float, x: np.ndarray) -> np.ndarray:
+    """One Godunov step of forced Burgers' flow in plain numpy.
+
+    Flux ``max(max(l, 0)^2, min(r, 0)^2) / 2`` at the interface between
+    cells i-1 and i, zero-gradient outflow on the right, the source
+    ``0.02 exp(mu x)`` and the inflow cell 0 set to 1 whatever ``w``
+    holds there.  Library operation order; ``mu`` is a scalar or
+    broadcasts as (..., 1) against the leading axes of ``w``.
+    """
+    right = np.concatenate([w[..., 1:], w[..., -1:]], axis=-1)
+    flux = np.maximum(np.maximum(w, 0.0) ** 2.0, np.minimum(right, 0.0) ** 2.0) * 0.5
+    df = flux[..., 1:] - flux[..., :-1]
+    source = np.exp(np.asarray(mu) * x[1:]) * (0.02 * dt)
+    out = np.ones_like(w)
+    out[..., 1:] = (w[..., 1:] - df * (dt / h)) + source
+    return out

@@ -230,6 +230,8 @@ class TestContainer:
         ("dataset", ["spec", "grid"], "hi", [-20.0, 20.0]),
         ("model", ["spec", "grid"], "hi", [0.0]),
         ("model", ["decoder_config"], "coord_hi", [0.0]),
+        ("dataset", ["spec", "grid"], "hi", [float("nan"), 20.0]),
+        ("model", ["decoder_config"], "coord_hi", [float("nan")]),
     ])
     def test_empty_coordinate_range_raises_format_error(self, tmp_path, kind, where,
                                                         key, bound):
@@ -240,7 +242,9 @@ class TestContainer:
 
     @pytest.mark.parametrize("key,value", [("decay_rate", 0.0), ("beta1", 1.0),
                                            ("beta2", 1.0), ("eps", 0.0),
-                                           ("weight_decay", -1e-4)])
+                                           ("weight_decay", -1e-4), ("lr0", float("nan")),
+                                           ("lr0", float("inf")), ("eps", float("nan")),
+                                           ("weight_decay", float("nan"))])
     def test_out_of_range_optimizer_value_raises_format_error(self, tmp_path, key, value):
         path, load = saved_container(tmp_path, "model")
         edit_keys(path, ["training_config"], key, value)
@@ -254,6 +258,26 @@ class TestContainer:
         path, load = saved_container(tmp_path, "model")
         edit_keys(path, where, key, value)
         with pytest.raises(FormatError, match=f"{key} must be an integer"):
+            load(path)
+
+    # a header value of the wrong type or out of range for the spec, its
+    # grid or the decoder: each used to load and fail later, or never
+    @pytest.mark.parametrize("kind,where,key,value,match", [
+        ("dataset", ["spec", "grid"], "shape", [42.0, 42], "must be integers"),
+        ("model", ["spec", "grid"], "shape", [True], "must be integers"),
+        ("dataset", ["spec", "grid"], "lo", [float("nan"), -20.0], "hi > lo"),
+        ("model", ["spec"], "derivative_steps", 1.5, "derivative_steps must be an integer"),
+        ("dataset", ["spec"], "derivative_steps", True, "derivative_steps must be an integer"),
+        ("dataset", ["spec"], "dt", float("nan"), "dt must be positive"),
+        ("dataset", ["spec", "params"], "kappa", float("nan"), "finite kappa"),
+        ("model", ["decoder_config"], "omega0", float("nan"), "omega0"),
+        ("model", ["decoder_config"], "omega0", 0.0, "omega0"),
+    ])
+    def test_malformed_spec_or_decoder_value_raises_format_error(self, tmp_path, kind,
+                                                                 where, key, value, match):
+        path, load = saved_container(tmp_path, kind)
+        edit_keys(path, where, key, value)
+        with pytest.raises(FormatError, match=match):
             load(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):

@@ -41,10 +41,16 @@ def test_inversion_config_rejects_non_integer_steps(steps):
         InversionConfig(steps=steps)
 
 
-@pytest.mark.parametrize("lr", [0.0, -1.0])
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
 def test_inversion_config_rejects_non_positive_lr(lr):
     with pytest.raises(ValueError, match="lr must be positive"):
         InversionConfig(lr=lr)
+
+
+@pytest.mark.parametrize("tol", [{"rtol": np.nan}, {"atol": np.nan}])
+def test_integrator_config_rejects_non_positive_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerances must be positive"):
+        IntegratorConfig(**tol)
 
 
 @pytest.mark.parametrize("arch", ["hyper", "siren"])

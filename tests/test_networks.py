@@ -32,10 +32,16 @@ HYPER = DecoderConfig("hyper", latent_dim=4, layers=2, width=12, coord_dim=2,
                       out_channels=1, coord_lo=(-1.0, -1.0), coord_hi=(1.0, 1.0))
 
 
-@pytest.mark.parametrize("hi", [(1.0, 0.0), (-1.0, 1.0)])
+@pytest.mark.parametrize("hi", [(1.0, 0.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.inf)])
 def test_config_rejects_an_empty_coordinate_range(hi):
     with pytest.raises(ValueError, match="coord_hi"):
         DecoderConfig("hyper", 4, 2, 12, 2, coord_lo=(0.0, 0.0), coord_hi=hi)
+
+
+@pytest.mark.parametrize("omega0", [np.nan, 0.0, -30.0, np.inf])
+def test_decoder_config_rejects_a_bad_omega0(omega0):
+    with pytest.raises(ValueError, match="omega0 must be positive"):
+        DecoderConfig("siren", 4, 2, 12, 2, omega0=omega0)
 
 
 @pytest.mark.parametrize("field,value", [("width", 64.0), ("latent_dim", True),

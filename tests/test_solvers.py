@@ -17,7 +17,7 @@ from pderom.solvers import (
     time_derivative,
 )
 
-from helpers import fd_check_params, heat_kernel_2d
+from helpers import fd_check_params, ftcs_step, godunov_step, heat_kernel_2d
 
 DIFF_GRID = Grid(lo=(-20.0, -20.0), hi=(20.0, 20.0), shape=(42, 42))
 DIFF_SPEC = SolverSpec("diffusion2d", DIFF_GRID, dt=0.1, params={"kappa": 2.0})
@@ -79,6 +79,36 @@ class TestDiffusionStep:
         out = diffusion_step(constant(u), 2.0, 0.1, DIFF_GRID).data
         assert (out[0, :] == 0).all() and (out[-1, :] == 0).all()
         assert (out[:, 0] == 0).all() and (out[:, -1] == 0).all()
+
+    @pytest.mark.parametrize("grid", [DIFF_GRID, Grid((0.0, -1.0), (3.0, 2.0), (7, 11))],
+                             ids=["square", "rectangle"])
+    def test_matches_plain_numpy_ftcs(self, grid):
+        # batched random fields, junk on the ring: the interior follows the
+        # reference bit for bit, and the ring is zero
+        u = np.random.default_rng(8).normal(size=(3, 2, *grid.shape))
+        hy, hx = grid.spacing
+        out = diffusion_step(constant(u), 2.0, 0.001, grid).data
+        np.testing.assert_array_equal(out, ftcs_step(u, 2.0, 0.001, hy, hx))
+
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 5, 5), (3, 42, 42)])
+    def test_output_ring_is_positive_zero(self, shape):
+        grid = DIFF_GRID if shape[-1] == 42 else Grid((0.0, 0.0), (4.0, 4.0), (5, 5))
+        rng = np.random.default_rng(9)
+        for u in (rng.normal(size=shape), -np.ones(shape), np.full(shape, -0.0)):
+            out = diffusion_step(constant(u), 0.5, 0.1, grid).data
+            ring = np.concatenate([out[..., 0, :], out[..., -1, :],
+                                   out[..., :, 0], out[..., :, -1]], axis=-1)
+            assert (ring == 0.0).all() and not np.signbit(ring).any()
+
+    def test_output_ignores_the_input_ring(self):
+        rng = np.random.default_rng(10)
+        u = rng.normal(size=(2, 42, 42))
+        junk = u.copy()
+        junk[..., [0, -1], :] = 1e6 * rng.normal(size=(2, 2, 42))
+        junk[..., :, [0, -1]] = -1e6 * rng.random(size=(2, 42, 2))
+        a = diffusion_step(constant(u), 2.0, 0.1, DIFF_GRID).data
+        b = diffusion_step(constant(junk), 2.0, 0.1, DIFF_GRID).data
+        assert a.tobytes() == b.tobytes()
 
     def test_stability_enforced_at_construction(self):
         with pytest.raises(StabilityError):
@@ -142,6 +172,17 @@ class TestBurgersStep:
         f_01 = 0.5 * max(max(w[0], 0.0) ** 2, min(w[1], 0.0) ** 2)
         rhs = -0.025 / h * (f_out - f_01) + 0.025 * 0.02 * np.exp(-100.0 * BURG_GRID.coords().ravel()[1:]).sum()
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+    @pytest.mark.parametrize("mu", [0.03, np.array([[-0.05], [0.0], [0.02], [0.1]])],
+                             ids=["scalar", "batch"])
+    def test_matches_plain_numpy_godunov(self, mu):
+        # mixed-sign states exercise both flux branches; cell 0 holds junk
+        w = np.random.default_rng(11).uniform(-1.5, 1.5, size=(4, 256))
+        w[:, 0] = [-7.0, 0.0, 3.5, 11.0]
+        h = BURG_GRID.spacing[0]
+        out = burgers_step(constant(w), mu, 0.025, BURG_GRID).data
+        expected = godunov_step(w, mu, 0.025, h, BURG_GRID.coords().ravel())
+        assert out.tobytes() == expected.tobytes()
 
     def test_cfl_violation_reports_max(self):
         w = np.ones(256)
@@ -293,11 +334,45 @@ class TestGrid:
         c[:] = 7.0
         np.testing.assert_array_equal(g.coords(), [[0.0], [0.5], [1.0]])
 
-    @pytest.mark.parametrize("hi", [(1.0, 10.0), (-1.0, 12.0)])
+    @pytest.mark.parametrize("hi", [(1.0, 10.0), (-1.0, 12.0), (np.nan, 12.0),
+                                    (1.0, np.inf)])
     def test_bounds_must_increase_on_every_axis(self, hi):
         with pytest.raises(ValueError, match="hi > lo"):
             Grid(lo=(0.0, 10.0), hi=hi, shape=(2, 3))
 
+    def test_lower_bounds_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(lo=(np.nan,), hi=(1.0,), shape=(3,))
+
+    @pytest.mark.parametrize("shape", [(3.5,), (42.0,), (True,), (np.float64(4.0),)])
+    def test_shape_entries_must_be_integers(self, shape):
+        with pytest.raises(ValueError, match="must be integers"):
+            Grid(lo=(0.0,), hi=(1.0,), shape=shape)
+
+    def test_shape_accepts_numpy_integers(self):
+        assert Grid(lo=(0.0,), hi=(1.0,), shape=(np.int64(5),)).num_points == 5
+
     def test_spacing(self):
         assert BURG_GRID.spacing[0] == pytest.approx(100.0 / 255.0)
         assert DIFF_GRID.spacing == (pytest.approx(40.0 / 41.0),) * 2
+
+
+class TestSolverSpec:
+    @pytest.mark.parametrize("steps", [1.5, 2.0, True, np.float64(3.0)])
+    def test_derivative_steps_must_be_an_integer(self, steps):
+        with pytest.raises(SolverError, match="derivative_steps must be an integer"):
+            SolverSpec("burgers1d", BURG_GRID, 0.025, {"mu": 0.02}, derivative_steps=steps)
+
+    @pytest.mark.parametrize("pde,grid,params", [
+        ("burgers1d", BURG_GRID, {"mu": 0.02}),
+        ("diffusion2d", DIFF_GRID, {"kappa": 2.0}),
+    ], ids=["burgers", "diffusion"])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    def test_dt_must_be_positive_and_finite(self, pde, grid, params, dt):
+        with pytest.raises(SolverError, match="dt must be positive and finite"):
+            SolverSpec(pde, grid, dt, params)
+
+    def test_kappa_must_be_finite(self):
+        # a NaN kappa made the FTCS limit NaN, which no dt exceeds
+        with pytest.raises(SolverError, match="finite kappa"):
+            SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": np.nan})

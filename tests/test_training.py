@@ -71,7 +71,9 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
                                          ("checkpoint_every", 0), ("log_every", 0),
                                          ("warmup_epochs", -1), ("decay_rate", 0.0),
                                          ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0),
-                                         ("weight_decay", -1e-4)])
+                                         ("weight_decay", -1e-4), ("lr0", np.nan),
+                                         ("lr0", np.inf), ("eps", np.nan),
+                                         ("weight_decay", np.nan)])
 def test_config_rejects_out_of_range_epoch_counts(field, value):
     with pytest.raises(ValueError, match=field):
         TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
