@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .networks import DecoderConfig, DynamicsConfig
-from .solvers import Grid, SolverError, SolverSpec, rollout
+from .solvers import Grid, SolverError, SolverSpec, _is_integer, rollout
 from .training import Model, TrainingConfig
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"PDROMBIN"
-VERSION = 1
+VERSION = 2
 
 BURGERS_TRAIN_MU = (0.015, 0.0171, 0.0193, 0.0214, 0.0236, 0.0257, 0.0279, 0.03)
 BURGERS_TEST_MU = (0.0129, 0.0161, 0.0182, 0.0204, 0.0225, 0.0246, 0.0268,
@@ -70,6 +70,12 @@ class Trajectory:
 
 @dataclass
 class Dataset:
+    """Trajectories of one solver spec, split into train, test and val.
+
+    Every snapshot array has one row per grid point on axis 1;
+    ``obs_indices``, when set, are unique grid indices in [0, N).
+    """
+
     spec: SolverSpec
     snapshot_dt: float
     t_train: int
@@ -79,7 +85,27 @@ class Dataset:
     test: list
     val: list = field(default_factory=list)
     obs_indices: np.ndarray | None = None
-    sparse_fraction: float | None = None
+
+    def __post_init__(self):
+        n = self.spec.grid.num_points
+        for split in ("train", "test", "val"):
+            for i, traj in enumerate(getattr(self, split)):
+                if traj.snapshots.shape[1] != n:
+                    raise ValueError(
+                        f"{split}[{i}] snapshots have {traj.snapshots.shape[1]} rows on "
+                        f"axis 1, but the grid has {n} points")
+        idx = self.obs_indices
+        if idx is None:
+            return
+        if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.size
+                and np.issubdtype(idx.dtype, np.integer)):
+            raise ValueError(f"obs_indices must be a non-empty 1-D integer array, got {idx!r}")
+        if idx.min() < 0 or idx.max() >= n:
+            raise ValueError(f"obs_indices must lie in [0, {n}), "
+                             f"got range [{idx.min()}, {idx.max()}]")
+        # not np.unique: its first call imports numpy.ma, 1.2 MB of peak RSS
+        if np.bincount(idx).max() > 1:
+            raise ValueError("obs_indices must be unique")
 
     @property
     def obs_coords(self) -> np.ndarray:
@@ -121,8 +147,12 @@ def gen_diffusion(n_traj: int, seed: int, n_test: int = 32, n_val: int = 16) -> 
 
     ``n_traj`` training trajectories plus test/validation splits, all
     rolled out to the test horizon (200 saved steps at dt = 0.1); the
-    training window marker t_train = 25 lives in the metadata.
+    training window marker t_train = 25 lives in the metadata.  Each
+    split size must be a non-negative integer, ``n_traj`` at least 1.
     """
+    for name, count in (("n_traj", n_traj), ("n_test", n_test), ("n_val", n_val)):
+        if not _is_integer(count) or count < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
     if n_traj < 1:
         raise ValueError("need at least one training trajectory")
     spec = diffusion_spec()
@@ -168,7 +198,7 @@ def subsample_grid(dataset: Dataset, fraction: float, seed: int):
     One uniform without-replacement draw applies to every snapshot of
     every trajectory; full-grid labels stay in the dataset for
     evaluation.  Returns ``(dataset, indices)``: the restricted dataset
-    (``obs_indices`` and ``sparse_fraction`` set) and its grid indices.
+    (``obs_indices`` set) and its grid indices.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must lie in (0, 1]")
@@ -181,7 +211,7 @@ def subsample_grid(dataset: Dataset, fraction: float, seed: int):
         spec=dataset.spec, snapshot_dt=dataset.snapshot_dt,
         t_train=dataset.t_train, t_test=dataset.t_test, seed=dataset.seed,
         train=dataset.train, test=dataset.test, val=dataset.val,
-        obs_indices=indices, sparse_fraction=fraction,
+        obs_indices=indices,
     )
     return restricted, indices
 
@@ -291,7 +321,6 @@ def save_dataset(dataset: Dataset, path) -> None:
         "t_test": dataset.t_test,
         "seed": dataset.seed,
         "splits": {name: len(getattr(dataset, name)) for name in ("train", "test", "val")},
-        "sparse_fraction": dataset.sparse_fraction,
     }
     arrays = {}
     for split in ("train", "test", "val"):
@@ -323,7 +352,7 @@ def load_dataset(path) -> Dataset:
             t_test=header["t_test"],
             seed=header["seed"],
             train=splits["train"], test=splits["test"], val=splits["val"],
-            obs_indices=obs, sparse_fraction=header.get("sparse_fraction"),
+            obs_indices=obs,
         )
 
 

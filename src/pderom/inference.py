@@ -134,11 +134,12 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
               integrator: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
     """Adaptive RK3(2) integration of the latent dynamics to each target.
 
-    ``targets`` must be sorted, all >= t0.  Dense output between
-    accepted steps is the cubic Hermite interpolant, third-order
-    accurate for this pair.  Step sizes follow a PI controller on the
-    embedded error estimate with rejection when the estimate exceeds
-    tolerance; the first step goes to the first target after ``t0``.
+    ``t0`` and ``targets`` must be finite, ``targets`` sorted, all >= t0.
+    Dense output between accepted steps is the cubic Hermite
+    interpolant, third-order accurate for this pair.  Step sizes follow
+    a PI controller on the embedded error estimate with rejection when
+    the estimate exceeds tolerance; the first step goes to the first
+    target after ``t0``.
     ``alpha0`` is one code, shape (latent_dim,).
     """
     alpha0 = np.asarray(alpha0, dtype=np.float64)
@@ -146,9 +147,14 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
         raise ValueError(
             f"alpha0 must have shape ({config.latent_dim},), got {alpha0.shape}"
         )
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0!r}")
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 1 or len(targets) == 0:
         raise ValueError("targets must be a non-empty 1-D time list")
+    bad = np.flatnonzero(~np.isfinite(targets))
+    if len(bad):
+        raise ValueError(f"targets must be finite, got targets[{bad[0]}] = {targets[bad[0]]}")
     if (np.diff(targets) <= 0).any():
         raise ValueError("targets must be strictly increasing")
     if targets[0] < t0:

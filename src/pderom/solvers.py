@@ -16,10 +16,8 @@ Burgers' problem, to its source parameter):
   The right boundary is zero-gradient outflow: the last interface takes
   cell n-1 as both its states.
 
-A solver also defines the time derivative used by the training loss:
-``(S^n[u] - u) / (n * dt)`` where ``n`` is ``derivative_steps`` (1 gives
-the plain one-step rate; larger n averages out noise for solvers that
-need it).
+A solver also defines the time derivative used by the training loss,
+the one-step rate ``(S[u] - u) / dt``.
 """
 
 from __future__ import annotations
@@ -125,28 +123,18 @@ class Grid:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A PDE, its grid, step size, and default physical parameters.
-
-    ``derivative_steps`` selects the time-derivative mode: 1 is the
-    single-step rate, n > 1 the n-step averaged rate.
-    """
+    """A PDE, its grid, step size, and default physical parameters."""
 
     pde: str  # "diffusion2d" | "burgers1d"
     grid: Grid
     dt: float
     params: dict = field(default_factory=dict)
-    derivative_steps: int = 1
 
     def __post_init__(self):
         if self.pde not in ("diffusion2d", "burgers1d"):
             raise SolverError(f"unknown pde {self.pde!r}")
         if not 0 < self.dt < np.inf:
             raise SolverError(f"dt must be positive and finite, got {self.dt!r}")
-        if not _is_integer(self.derivative_steps):
-            raise SolverError(
-                f"derivative_steps must be an integer, got {self.derivative_steps!r}")
-        if self.derivative_steps < 1:
-            raise SolverError("derivative_steps must be >= 1")
         if self.pde == "diffusion2d":
             if self.grid.ndim != 2:
                 raise SolverError("diffusion2d needs a 2-D grid")
@@ -259,16 +247,13 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
 
 
 def time_derivative(spec: SolverSpec, u, beta=None) -> Tensor:
-    """Field rate from the solver: ``(S^n[u] - u) / (n dt)``.
+    """Field rate from one solver step: ``(S[u] - u) / dt``.
 
-    Differentiable with respect to ``u`` through every solver step, so
-    training losses built on this rate backpropagate into the decoder.
+    Differentiable with respect to ``u`` through the step, so training
+    losses built on this rate backpropagate into the decoder.
     """
     u = as_tensor(u)
-    un = u
-    for _ in range(spec.derivative_steps):
-        un = spec.step(un, beta)
-    return dm.div(dm.sub(un, u), constant(spec.derivative_steps * spec.dt))
+    return dm.div(dm.sub(spec.step(u, beta), u), constant(spec.dt))
 
 
 def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,

@@ -62,12 +62,11 @@ class TrainingConfig:
     eps: float = 1e-8
     weight_decay: float = 1e-4
     checkpoint_every: int = 500
-    log_every: int = 100
 
     def __post_init__(self):
         _check_counts(self, ("epochs", "warmup_epochs", "decay_every", "batch_size",
-                             "seed", "checkpoint_every", "log_every"))
-        for name in ("epochs", "decay_every", "checkpoint_every", "log_every"):
+                             "seed", "checkpoint_every"))
+        for name in ("epochs", "decay_every", "checkpoint_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.warmup_epochs <= self.epochs:
@@ -183,7 +182,9 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     that may be the full solver grid or a fixed sparse subset of it; the
     dynamics loss always reconstructs on the full solver grid.  Writes a
     checkpoint every ``checkpoint_every`` epochs when ``out_dir`` is
-    given, plus the final model.
+    given, plus the final model.  Every epoch logs its learning rate,
+    mean losses and elapsed time on the ``pderom.training`` logger at
+    INFO; the logger's level switches it.
 
     A :class:`NonFiniteError` names the epoch and the batch's rows of the
     snapshot table (row ``trajectory * (t_train + 1) + time``).
@@ -271,12 +272,11 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
         history["lr"].append(lr)
         history["rec"].append(rec_sum / n_total)
         history["dyn"].append(dyn_sum / n_total)
-        if epoch % config.log_every == 0 or epoch == config.epochs - 1:
-            logger.info(
-                "epoch=%d lr=%.6g L_rec=%.6g L_dyn=%.6g elapsed=%.1fs",
-                epoch, lr, history["rec"][-1], history["dyn"][-1],
-                time.perf_counter() - started,
-            )
+        logger.info(
+            "epoch=%d lr=%.6g L_rec=%.6g L_dyn=%.6g elapsed=%.1fs",
+            epoch, lr, history["rec"][-1], history["dyn"][-1],
+            time.perf_counter() - started,
+        )
         if out_dir is not None and (
             (epoch + 1) % config.checkpoint_every == 0 or epoch == config.epochs - 1
         ):

@@ -9,8 +9,10 @@ The exceptions build on the tape: :func:`siren_tangents_forward` and
 :func:`hyper_tangents_forward` are forward-mode references for the
 decoders' code tangents, independent of the library's reverse sweeps;
 :func:`code_jacobian` builds the code Jacobian from them for the tests
-that build on it; and :func:`parameter` and :func:`grad` are the tests'
-shorthand for differentiating a function of named leaves.
+that build on it; :func:`parameter` and :func:`grad` are the tests'
+shorthand for differentiating a function of named leaves; and
+:func:`projected_affine_rom` applies the library's solver rate to the
+rows of an affine decoder map, then projects in plain numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from pderom import diffmath as dm
 from pderom.networks import hyper_layer
+from pderom.solvers import time_derivative
 
 
 def parameter(x) -> dm.Tensor:
@@ -117,6 +120,26 @@ def hyper_tangents_forward(config, params, alpha, T, X, fast=False):
     out = {key: params[f"out.{key}"] for key in ("W", "b", "Wm")}
     u = hyper_layer(z, None, out, a, final=True, rs=rs)
     return u, dm.add(dm.matmul(dz, out["W"], rs), dm.matmul(T, out["Wm"], rs))
+
+
+def projected_affine_rom(spec, A: np.ndarray, c: np.ndarray):
+    """``(M, b)`` of the exact projected dynamics of an affine decoder.
+
+    The decoder ``u = alpha @ A + c`` (``A`` (k, N), ``c`` (N,)) has the
+    code Jacobian ``A^T``.  When the solver rate ``F`` is linear in the
+    field, as FTCS diffusion's is, the least-squares projection of
+    ``F(u)`` onto that Jacobian is exactly affine in the code:
+    ``(A^T)^+ F(u) = M alpha + b`` with ``M = (A^T)^+ F(A)^T`` and
+    ``b = (A^T)^+ F(c)``, the least-squares projection ROM (Carlberg et
+    al., 2017) on the decoder's manifold.  ``F`` is ``time_derivative``
+    applied to each row of ``A`` and to ``c``.
+    """
+    k = len(A)
+    with dm.no_grad():
+        FA = time_derivative(spec, dm.constant(A.reshape(k, *spec.grid.shape))).data
+        Fc = time_derivative(spec, dm.constant(c.reshape(spec.grid.shape))).data
+    P = np.linalg.pinv(A.T)
+    return P @ FA.reshape(k, -1).T, P @ Fc.reshape(-1)
 
 
 def fd_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from pderom import data
 from pderom.data import FormatError
 from pderom.networks import DecoderConfig, DynamicsConfig, init_decoder, init_dynamics
-from pderom.solvers import rollout
+from pderom.solvers import Grid, SolverSpec, rollout
 from pderom.training import Model, TrainingConfig
 
 
@@ -23,9 +23,12 @@ def diffusion():
 
 
 def small_dataset():
-    spec = data.diffusion_spec()
+    # a 2 x 2 diffusion grid: the smallest 2-D spec, so the cases below that
+    # edit its 2-D bounds or its kappa apply unchanged
+    spec = SolverSpec("diffusion2d", Grid((-20.0, -20.0), (20.0, 20.0), (2, 2)), 0.1,
+                      {"kappa": 2.0})
     rng = np.random.default_rng(0)
-    trajs = [data.Trajectory(rng.normal(size=(2, 3, 1)), np.array([0.5])) for _ in range(2)]
+    trajs = [data.Trajectory(rng.normal(size=(2, 4, 1)), np.array([0.5])) for _ in range(2)]
     return data.Dataset(spec, spec.dt, t_train=1, t_test=1, seed=0,
                         train=trajs[:1], test=trajs[1:])
 
@@ -115,7 +118,7 @@ class TestGeneration:
         for a, b in pairs:
             assert a.snapshots.tobytes() == b.snapshots.tobytes()
             assert a.beta.tobytes() == b.beta.tobytes()
-        header = ("spec", "snapshot_dt", "t_train", "t_test", "obs_indices", "sparse_fraction")
+        header = ("spec", "snapshot_dt", "t_train", "t_test", "obs_indices")
         assert all(getattr(burgers, f) == getattr(other, f) for f in header)
 
     def test_diffusion_equals_per_trajectory_rollout(self, diffusion):
@@ -129,6 +132,47 @@ class TestGeneration:
         with pytest.raises(ValueError):
             data.gen_diffusion(0, seed=0)
 
+    # a negative n_test used to shorten the test split and shift val into train
+    @pytest.mark.parametrize("name,sizes", [("n_test", (2, -1, 2)), ("n_val", (2, 1, -1)),
+                                            ("n_traj", (-1, 1, 1)), ("n_traj", (2.0, 1, 1)),
+                                            ("n_test", (2, True, 1)), ("n_val", (2, 1, 1.5))])
+    def test_rejects_bad_split_sizes(self, name, sizes):
+        n_traj, n_test, n_val = sizes
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            data.gen_diffusion(n_traj, 0, n_test=n_test, n_val=n_val)
+
+
+class TestDatasetContents:
+    @pytest.mark.parametrize("indices,match", [
+        (np.array([-1, 2]), r"must lie in \[0, 4\)"),
+        (np.array([10**6, 2]), r"must lie in \[0, 4\)"),
+        (np.array([1, 1]), "must be unique"),
+        (np.array([[0, 1]]), "1-D integer array"),
+        (np.array([0.0, 1.0]), "1-D integer array"),
+        (np.array([], dtype=np.int64), "non-empty"),
+    ], ids=["negative", "past-the-end", "repeated", "2-D", "float", "empty"])
+    def test_bad_obs_indices_are_rejected(self, tmp_path, indices, match):
+        ds = small_dataset()
+        with pytest.raises(ValueError, match=match):
+            data.Dataset(ds.spec, ds.snapshot_dt, ds.t_train, ds.t_test, ds.seed,
+                         ds.train, ds.test, obs_indices=indices)
+        if indices.dtype.kind == "i":  # what the container can hold
+            ds.obs_indices = indices
+            with pytest.raises(FormatError, match=match):
+                data.load_dataset(saved(tmp_path, ds))
+
+    @pytest.mark.parametrize("split", ["train", "test", "val"])
+    def test_snapshot_rows_must_match_the_grid(self, tmp_path, split):
+        ds = small_dataset()
+        wrong = [data.Trajectory(np.zeros((2, 100, 1)), np.array([0.5]))]
+        with pytest.raises(ValueError, match=rf"{split}\[0\] snapshots have 100 rows "
+                                             r"on axis 1, but the grid has 4 points"):
+            data.Dataset(ds.spec, ds.snapshot_dt, ds.t_train, ds.t_test, ds.seed,
+                         **{"train": ds.train, "test": ds.test, split: wrong})
+        setattr(ds, split, wrong)
+        with pytest.raises(FormatError, match=rf"{split}\[0\] snapshots have 100 rows"):
+            data.load_dataset(saved(tmp_path, ds))
+
 
 class TestSubsampleGrid:
     def test_index_count_and_range(self, diffusion):
@@ -138,7 +182,6 @@ class TestSubsampleGrid:
         assert len(np.unique(indices)) == len(indices)
         assert indices.min() >= 0 and indices.max() < n
         np.testing.assert_array_equal(sparse.obs_indices, indices)
-        assert sparse.sparse_fraction == 0.1
         assert sparse.observed(sparse.train[0]).shape == (201, int(0.1 * n), 1)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.5, 1e-6])
@@ -206,7 +249,7 @@ class TestContainer:
     # each key is a field with a default, which used to fill in when missing
     @pytest.mark.parametrize("config,key", [("decoder_config", "omega0"),
                                             ("dynamics_config", "param_dim"),
-                                            ("training_config", "log_every")])
+                                            ("training_config", "checkpoint_every")])
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_config_keys_must_match_fields(self, tmp_path, config, key, change):
         path = tmp_path / "m.pdrm"
@@ -216,7 +259,7 @@ class TestContainer:
             data.load_model(path)
 
     @pytest.mark.parametrize("kind", ["dataset", "model"])
-    @pytest.mark.parametrize("cls,where,key", [("SolverSpec", ["spec"], "derivative_steps"),
+    @pytest.mark.parametrize("cls,where,key", [("SolverSpec", ["spec"], "params"),
                                                ("Grid", ["spec", "grid"], "shape")])
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_spec_keys_must_match_fields(self, tmp_path, kind, cls, where, key, change):
@@ -266,8 +309,8 @@ class TestContainer:
         ("dataset", ["spec", "grid"], "shape", [42.0, 42], "must be integers"),
         ("model", ["spec", "grid"], "shape", [True], "must be integers"),
         ("dataset", ["spec", "grid"], "lo", [float("nan"), -20.0], "hi > lo"),
-        ("model", ["spec"], "derivative_steps", 1.5, "derivative_steps must be an integer"),
-        ("dataset", ["spec"], "derivative_steps", True, "derivative_steps must be an integer"),
+        ("model", ["spec"], "pde", "heat1d", "unknown pde"),
+        ("dataset", ["spec"], "dt", 1e3, "FTCS unstable"),
         ("dataset", ["spec"], "dt", float("nan"), "dt must be positive"),
         ("dataset", ["spec", "params"], "kappa", float("nan"), "finite kappa"),
         ("model", ["decoder_config"], "omega0", float("nan"), "omega0"),
@@ -279,6 +322,13 @@ class TestContainer:
         edit_keys(path, where, key, value)
         with pytest.raises(FormatError, match=match):
             load(path)
+
+    def test_older_format_version_raises_format_error(self, tmp_path):
+        path = saved(tmp_path, small_dataset())
+        blob = path.read_bytes()
+        path.write_bytes(blob[:8] + np.uint32(1).tobytes() + blob[12:])
+        with pytest.raises(FormatError, match="unsupported format version 1; expected 2"):
+            data.load_dataset(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):
         path = saved(tmp_path, small_dataset())

@@ -133,6 +133,19 @@ def test_integrate_rejects_a_code_of_the_wrong_shape(alpha0):
         integrate(config, params, alpha0, 0.0, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("t0,targets,match", [
+    (0.0, [0.0, np.nan], r"targets must be finite, got targets\[1\] = nan"),
+    (0.0, [0.5, np.inf], r"targets must be finite, got targets\[1\] = inf"),
+    (np.nan, [0.0, 1.0], "t0 must be finite, got nan"),
+    (-np.inf, [0.0, 1.0], "t0 must be finite, got -inf"),
+])
+def test_integrate_rejects_non_finite_times(t0, targets, match):
+    config = DynamicsConfig(latent_dim=4, layers=1, width=6)
+    params = {k: v.data for k, v in init_dynamics(config, seed=5).items()}
+    with pytest.raises(ValueError, match=match):
+        integrate(config, params, np.zeros(4), t0, targets)
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A dataset and, per architecture, a model and its saved file."""
@@ -192,3 +205,10 @@ def test_forecast_rejects_a_field_of_the_wrong_shape(trained, arch):
         with pytest.raises(ValueError, match=f"u0 must have shape {want}.*got "
                            + re.escape(str(bad.shape))):
             forecast(model, bad, ds.obs_coords, [0.0, ds.snapshot_dt])
+
+
+def test_forecast_rejects_non_finite_times(trained):
+    ds, models = trained
+    with pytest.raises(ValueError, match=r"targets must be finite, got targets\[1\] = nan"):
+        forecast(models["hyper"][0], ds.test[0].snapshots[0], ds.obs_coords,
+                 [0.0, np.nan], inversion=InversionConfig(steps=1))

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from pderom import diffmath as dm
+from pderom import losses
 from pderom.diffmath import Tensor, backward, constant, no_grad, qr_lstsq, stop_gradient
 from pderom.losses import DegenerateNormError, batch_terms, field_rnmse, latent_rnmse
 from pderom.networks import (
     DecoderConfig,
     DynamicsConfig,
+    affine_decomposition,
     decode,
     dynamics_eval,
     init_decoder,
@@ -23,7 +25,13 @@ from pderom.networks import (
 )
 from pderom.solvers import Grid, SolverSpec, time_derivative
 
-from helpers import code_jacobian, fd_check_params, grad, normal_equations_lstsq
+from helpers import (
+    code_jacobian,
+    fd_check_params,
+    grad,
+    normal_equations_lstsq,
+    projected_affine_rom,
+)
 
 DIFF_GRID = Grid((-20.0, -20.0), (20.0, 20.0), (42, 42))
 DIFF_SPEC = SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": 2.0})
@@ -236,6 +244,30 @@ class TestAlphaDotStar:
         J = code_jacobian(HYPER, params, alpha, DIFF_GRID.coords()[:80])
         out = qr_lstsq(J, constant(np.zeros(80)))
         np.testing.assert_array_equal(out.data, np.zeros(4))
+
+    def test_full_grid_hyper_target_is_the_projected_rom(self, monkeypatch):
+        # hyper x diffusion: the decoder is affine in the code and the FTCS
+        # rate linear in the field, so the target over every grid point is
+        # exactly M alpha + b
+        dec_params = init_decoder(HYPER, seed=6)
+        dyn_config = DynamicsConfig(latent_dim=4, layers=1, width=8)
+        rng = np.random.default_rng(12)
+        n, b = DIFF_GRID.num_points, 3
+        alpha = rng.normal(size=(b, 4))
+        targets = []
+        latent_rnmse_ = losses.latent_rnmse
+        monkeypatch.setattr(losses, "latent_rnmse",
+                            lambda pred, target: targets.append(target.data)
+                            or latent_rnmse_(pred, target))
+        batch_terms(HYPER, dec_params, dyn_config, init_dynamics(dyn_config, 6),
+                    constant(alpha), 1.0 + rng.random((b, n, 1)), DIFF_SPEC,
+                    np.stack([rng.permutation(n) for _ in range(b)]))
+        A, c = affine_decomposition(HYPER, dec_params, DIFF_GRID.coords(), fast=True)
+        M, bias = projected_affine_rom(DIFF_SPEC, A.data, c.data)
+        want = alpha @ M.T + bias
+        (got,) = targets
+        rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= 1e-10
 
     def test_subsampling_robustness(self):
         # the full-grid projection still scores near zero on 99.9 % of the grid

@@ -224,23 +224,6 @@ class TestTimeDerivative:
         expected = 0.02 * np.exp(0.02 * x)
         np.testing.assert_allclose(rate.data[1:], expected[1:], rtol=1e-12)
 
-    def test_averaged_one_equals_single_step(self):
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=(42, 42)) * 0.1
-        single = time_derivative(DIFF_SPEC, constant(u)).data
-        spec1 = SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": 2.0}, derivative_steps=1)
-        np.testing.assert_array_equal(time_derivative(spec1, constant(u)).data, single)
-
-    def test_averaged_mode_runs_n_steps(self):
-        rng = np.random.default_rng(6)
-        u = rng.normal(size=(42, 42)) * 0.1
-        spec3 = SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": 2.0}, derivative_steps=3)
-        u1 = DIFF_SPEC.step(constant(u))
-        u2 = DIFF_SPEC.step(u1)
-        u3 = DIFF_SPEC.step(u2)
-        expected = (u3.data - u) / (3 * 0.1)
-        np.testing.assert_allclose(time_derivative(spec3, constant(u)).data, expected, atol=1e-14)
-
     def test_matches_snapshot_difference_when_saving_every_step(self):
         u0 = gaussian_blob(DIFF_GRID, 4.0, 1.0)
         traj = rollout(DIFF_SPEC, u0, n_steps=3, save_every=1)
@@ -358,11 +341,6 @@ class TestGrid:
 
 
 class TestSolverSpec:
-    @pytest.mark.parametrize("steps", [1.5, 2.0, True, np.float64(3.0)])
-    def test_derivative_steps_must_be_an_integer(self, steps):
-        with pytest.raises(SolverError, match="derivative_steps must be an integer"):
-            SolverSpec("burgers1d", BURG_GRID, 0.025, {"mu": 0.02}, derivative_steps=steps)
-
     @pytest.mark.parametrize("pde,grid,params", [
         ("burgers1d", BURG_GRID, {"mu": 0.02}),
         ("diffusion2d", DIFF_GRID, {"kappa": 2.0}),

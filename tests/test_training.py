@@ -1,5 +1,6 @@
 """Training runs: bitwise reruns, checkpoints, and located failures."""
 
+import logging
 import re
 
 import numpy as np
@@ -50,6 +51,20 @@ def test_reruns_and_checkpoints_are_bitwise_equal(tmp_path, tiny):
     assert (tmp_path / "b" / "model.pdrm").read_bytes() == final.read_bytes()
 
 
+def test_logger_level_switches_the_epoch_log(tmp_path, tiny, caplog):
+    cfg = TrainingConfig(epochs=3, warmup_epochs=1, batch_size=8)
+    runs = {}
+    for level in (logging.INFO, logging.WARNING):
+        caplog.clear()
+        with caplog.at_level(level, logger="pderom.training"):
+            train(tiny, DEC, DYN, cfg, out_dir=tmp_path / str(level))
+        runs[level] = [r.getMessage() for r in caplog.records if r.name == "pderom.training"]
+    assert [m.split()[0] for m in runs[logging.INFO]] == ["epoch=0", "epoch=1", "epoch=2"]
+    assert runs[logging.WARNING] == []
+    assert ((tmp_path / str(logging.INFO) / "model.pdrm").read_bytes()
+            == (tmp_path / str(logging.WARNING) / "model.pdrm").read_bytes())
+
+
 def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
     bad = tiny.train[0].snapshots.copy()
     bad[3, 100, 0] = np.inf  # snapshot row 3 of the table
@@ -68,8 +83,8 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
 # beta2 = 1 divides by zero in adamw_step's bias correction; the other
 # optimizer values stall the schedule or the update, or grow the weights
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("decay_every", 0),
-                                         ("checkpoint_every", 0), ("log_every", 0),
-                                         ("warmup_epochs", -1), ("decay_rate", 0.0),
+                                         ("checkpoint_every", 0), ("warmup_epochs", -1),
+                                         ("decay_rate", 0.0),
                                          ("beta1", 1.0), ("beta2", 1.0), ("eps", 0.0),
                                          ("weight_decay", -1e-4), ("lr0", np.nan),
                                          ("lr0", np.inf), ("eps", np.nan),
@@ -81,7 +96,7 @@ def test_config_rejects_out_of_range_epoch_counts(field, value):
 
 @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 32.0),
                                          ("warmup_epochs", True), ("seed", "0"),
-                                         ("log_every", np.float64(10.0))])
+                                         ("decay_every", np.float64(10.0))])
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
