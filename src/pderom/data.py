@@ -72,8 +72,12 @@ class Trajectory:
 class Dataset:
     """Trajectories of one solver spec, split into train, test and val.
 
-    Every snapshot array has one row per grid point on axis 1;
-    ``obs_indices``, when set, are unique grid indices in [0, N).
+    ``t_train`` and ``t_test`` are integers with 0 <= t_train <= t_test,
+    ``seed`` is an integer and ``snapshot_dt`` positive and finite.
+    Every train trajectory holds at least t_train + 1 snapshots and
+    every test trajectory at least t_test + 1.  Every snapshot array has
+    one row per grid point on axis 1; ``obs_indices``, when set, are
+    unique grid indices in [0, N).
     """
 
     spec: SolverSpec
@@ -87,6 +91,22 @@ class Dataset:
     obs_indices: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("t_train", "t_test", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not 0 <= self.t_train <= self.t_test:
+            raise ValueError(f"need 0 <= t_train <= t_test, got t_train = {self.t_train}, "
+                             f"t_test = {self.t_test}")
+        dt = self.snapshot_dt
+        if isinstance(dt, bool) or not (isinstance(dt, (int, float, np.integer, np.floating))
+                                        and 0 < dt < np.inf):
+            raise ValueError(f"snapshot_dt must be positive and finite, got {dt!r}")
+        for split, horizon in (("train", "t_train"), ("test", "t_test")):
+            need = getattr(self, horizon) + 1
+            for i, traj in enumerate(getattr(self, split)):
+                if len(traj.snapshots) < need:
+                    raise ValueError(f"{split}[{i}] has {len(traj.snapshots)} snapshots, "
+                                     f"fewer than {horizon} + 1 = {need}")
         n = self.spec.grid.num_points
         for split in ("train", "test", "val"):
             for i, traj in enumerate(getattr(self, split)):

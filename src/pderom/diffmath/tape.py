@@ -461,6 +461,16 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
     return _make(out, tuple(ts), vjp, "concat")
 
 
+def _scatter_add(flat_idx: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Add each ``g`` element into the flat position ``flat_idx`` of a zero array.
+
+    One ``np.bincount``, bitwise equal to ``np.add.at``: every bin sums
+    its elements in index order, starting from +0.0.
+    """
+    total = np.bincount(flat_idx.ravel(), weights=g.ravel(), minlength=int(np.prod(shape)))
+    return total.reshape(shape)
+
+
 def take_rows(a, indices) -> Tensor:
     """Gather rows ``a[indices]`` along axis 0; adjoint scatter-adds."""
     a = as_tensor(a)
@@ -468,9 +478,10 @@ def take_rows(a, indices) -> Tensor:
     out = a.data[idx]
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        row = int(np.prod(a.data.shape[1:]))
+        rows = np.where(idx < 0, idx + a.data.shape[0], idx)
+        flat = rows.reshape(-1, 1) * row + np.arange(row)
+        return (_scatter_add(flat, g, a.data.shape),)
 
     return _make(out, (a,), vjp, "take_rows")
 
@@ -482,11 +493,11 @@ def take_along(a, indices, axis: int) -> Tensor:
     out = np.take_along_axis(a.data, idx, axis=axis)
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        grids = list(np.ogrid[tuple(slice(s) for s in idx.shape)])
-        grids[axis] = idx
-        np.add.at(ga, tuple(grids), g)
-        return (ga,)
+        ax = axis % a.data.ndim
+        grids = list(np.ogrid[tuple(slice(s) for s in out.shape)])
+        grids[ax] = np.where(idx < 0, idx + a.data.shape[ax], idx)
+        flat = np.ravel_multi_index(tuple(np.broadcast_arrays(*grids)), a.data.shape)
+        return (_scatter_add(flat, g, a.data.shape),)
 
     return _make(out, (a,), vjp, "take_along")
 

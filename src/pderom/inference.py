@@ -129,6 +129,26 @@ _MAX_FACTOR = 5.0
 _MAX_STEPS = 100_000
 
 
+def _check_times(t0, targets) -> np.ndarray:
+    """``targets`` as a float array, or ``ValueError`` unless they are
+    finite, strictly increasing and none before ``t0``, itself finite.
+    ``t0`` None stands for the first target."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim != 1 or len(targets) == 0:
+        raise ValueError("targets must be a non-empty 1-D time list")
+    t0 = targets[0] if t0 is None else t0
+    if not np.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {float(t0)}")
+    bad = np.flatnonzero(~np.isfinite(targets))
+    if len(bad):
+        raise ValueError(f"targets must be finite, got targets[{bad[0]}] = {targets[bad[0]]}")
+    if (np.diff(targets) <= 0).any():
+        raise ValueError("targets must be strictly increasing")
+    if targets[0] < t0:
+        raise ValueError("targets must not precede t0")
+    return targets
+
+
 def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
               t0: float, targets, beta=None,
               integrator: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
@@ -147,18 +167,7 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
         raise ValueError(
             f"alpha0 must have shape ({config.latent_dim},), got {alpha0.shape}"
         )
-    if not np.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0!r}")
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 1 or len(targets) == 0:
-        raise ValueError("targets must be a non-empty 1-D time list")
-    bad = np.flatnonzero(~np.isfinite(targets))
-    if len(bad):
-        raise ValueError(f"targets must be finite, got targets[{bad[0]}] = {targets[bad[0]]}")
-    if (np.diff(targets) <= 0).any():
-        raise ValueError("targets must be strictly increasing")
-    if targets[0] < t0:
-        raise ValueError("targets must not precede t0")
+    targets = _check_times(t0, targets)
 
     tparams = {name: constant(v) for name, v in params.items()}
     beta_t = None if beta is None else constant(np.asarray(beta, dtype=np.float64))
@@ -232,7 +241,8 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     subset or superset of the solver grid); ``times`` are absolute times
     with the initial condition at ``times[0]``.  Decodes on
     ``query_grid`` (default: the solver grid) at every requested time.  ``beta`` must carry the PDE parameters for
-    parameterized dynamics.  Returns (T, N_query, m).
+    parameterized dynamics.  Returns (T, N_query, m).  ``times`` must be
+    finite and strictly increasing; that is checked before the inversion.
 
     The final decode runs in exact (row-stable) mode.  A siren decodes
     the times in blocks sized so that each hidden layer's array holds
@@ -245,7 +255,7 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     if u0.shape != want:
         raise ValueError(f"u0 must have shape {want} (one field on X), got {u0.shape}")
     Xq = model.spec.grid.coords() if query_grid is None else np.asarray(query_grid)
-    times = np.asarray(times, dtype=np.float64)
+    times = _check_times(None, times)  # before the inversion, which takes longest
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)
     codes = integrate(
         model.dynamics_config, model.dynamics_params, alpha0,

@@ -244,6 +244,16 @@ def _check_code(config: DecoderConfig, alpha: Tensor, xn: np.ndarray) -> tuple:
     return shape
 
 
+def _check_rows(shape: tuple, rows) -> np.ndarray:
+    """``rows`` as an array, or ``ValueError`` unless it holds one row set
+    per code of shape ``shape``."""
+    rows = np.asarray(rows)
+    if rows.ndim != len(shape) or rows.shape[:-1] != shape[:-1]:
+        raise ValueError(f"rows of shape {rows.shape} do not match codes of shape "
+                         f"{shape}: need one row set per code")
+    return rows
+
+
 def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
                  fast: bool = False):
     """Bind a decoder to the grid ``X``: returns ``code -> field``.
@@ -255,6 +265,14 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
     returns (N, m) or (B, N, m); it stays on the tape, so gradients reach
     the code and, through the bound grid part, the parameters.  For
     siren it is what :func:`decode` runs on a non-dual code, bit for bit.
+
+    Its optional second argument ``rows``, shape (P,) for one code or
+    (B, P) for a batch, picks the grid points to evaluate, one set per
+    code; the result is then (P, m) or (B, P, m).  A siren gathers its
+    grid part's ``sin p``/``cos p`` rows and runs every layer after it
+    on those rows alone; a hyper decoder gathers the affine map's
+    output.  In exact mode the result equals the full decode gathered
+    at ``rows``, bit for bit.
     """
     xn = _normalized_coords(config, X)
     rs = not fast
@@ -263,11 +281,16 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
         A, c = affine_decomposition(config, params, X, fast=fast)
         n, m = xn.shape[-2], config.out_channels
 
-        def predict(code):
+        def predict(code, rows=None):
             shape = _check_code(config, code, xn)
-            rows = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
-            flat = dm.add(dm.matmul(rows, A, rs), c)
-            return dm.reshape(flat, (*shape[:-1], n, m))
+            rows = None if rows is None else _check_rows(shape, rows)
+            codes = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
+            flat = dm.add(dm.matmul(codes, A, rs), c)
+            out = dm.reshape(flat, (*shape[:-1], n, m))
+            if rows is None:
+                return out
+            return dm.take_along(out, np.broadcast_to(rows[..., None], (*rows.shape, m)),
+                                 axis=-2)
 
         return predict
 
@@ -280,11 +303,15 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
     sin_p, cos_p = dm.sin(p), dm.cos(p)
     W_a = dm.slice_(W0, (slice(d, d + config.latent_dim),))
 
-    def predict(code):
+    def predict(code, rows=None):
         shape = _check_code(config, code, xn)
+        rows = None if rows is None else _check_rows(shape, rows)
         q = dm.mul(dm.matmul(dm.reshape(code, (*shape[:-1], 1, shape[-1])), W_a, rs),
                    omega0)
-        z = dm.sin_shift(sin_p, cos_p, q)
+        if rows is None:
+            z = dm.sin_shift(sin_p, cos_p, q)
+        else:
+            z = dm.sin_shift(dm.take_rows(sin_p, rows), dm.take_rows(cos_p, rows), q)
         for i in range(1, config.layers):
             z = dm.sine_affine(z, params[f"l{i}.W"], params[f"l{i}.b"], config.omega0, rs)
         return dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])

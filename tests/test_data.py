@@ -174,6 +174,41 @@ class TestDatasetContents:
             data.load_dataset(saved(tmp_path, ds))
 
 
+class TestDatasetMetadata:
+    # each used to load and fail later (in train or forecast), or never
+    @pytest.mark.parametrize("key,value,match", [
+        ("t_train", "x", "t_train must be an integer"),
+        ("t_train", 1.0, "t_train must be an integer"),
+        ("t_test", True, "t_test must be an integer"),
+        ("seed", 0.5, "seed must be an integer"),
+        ("t_train", -1, r"need 0 <= t_train <= t_test, got t_train = -1, t_test = 1"),
+        ("t_train", 2, r"need 0 <= t_train <= t_test, got t_train = 2, t_test = 1"),
+        ("t_test", 2, r"test\[0\] has 2 snapshots, fewer than t_test \+ 1 = 3"),
+        ("snapshot_dt", -1.0, "snapshot_dt must be positive and finite"),
+        ("snapshot_dt", 0.0, "snapshot_dt must be positive and finite"),
+        ("snapshot_dt", float("nan"), "snapshot_dt must be positive and finite"),
+        ("snapshot_dt", float("inf"), "snapshot_dt must be positive and finite"),
+        ("snapshot_dt", "0.1", "snapshot_dt must be positive and finite"),
+    ])
+    def test_bad_metadata_is_rejected(self, tmp_path, key, value, match):
+        ds = small_dataset()
+        fields = dict(spec=ds.spec, snapshot_dt=ds.snapshot_dt, t_train=ds.t_train,
+                      t_test=ds.t_test, seed=ds.seed, train=ds.train, test=ds.test)
+        with pytest.raises(ValueError, match=match):
+            data.Dataset(**{**fields, key: value})
+        path = saved(tmp_path, ds)
+        edit_keys(path, [], key, value)
+        with pytest.raises(FormatError, match=match):
+            data.load_dataset(path)
+
+    def test_train_trajectories_must_reach_t_train(self, diffusion):
+        # 201 snapshots per trajectory hold t = 0..200
+        with pytest.raises(ValueError, match=r"train\[0\] has 201 snapshots, fewer than "
+                                             r"t_train \+ 1 = 301"):
+            data.Dataset(diffusion.spec, diffusion.snapshot_dt, 300, 300, 0,
+                         diffusion.train, [])
+
+
 class TestSubsampleGrid:
     def test_index_count_and_range(self, diffusion):
         sparse, indices = data.subsample_grid(diffusion, 0.1, seed=4)

@@ -165,6 +165,43 @@ class TestPrimitives:
 
         assert fd_check_params(loss, params) <= 1e-5
 
+    @pytest.mark.parametrize("shape", [(7,), (7, 3), (7, 2, 3)], ids=["1d", "2d", "3d"])
+    def test_take_rows_adjoint_equals_add_at(self, shape):
+        # bitwise, with repeated and negative indices
+        rng = np.random.default_rng(8)
+        a = dm.Tensor(rng.normal(size=shape), requires_grad=True)
+        idx = np.array([[3, -1, 3, 0], [6, -7, 2, -1]])
+        out = dm.take_rows(a, idx)
+        g = rng.normal(size=out.shape)
+        want = np.zeros(shape)
+        np.add.at(want, idx, g)
+        (got,) = out.vjp(g)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape,axis", [((6,), 0), ((6, 4), 0), ((4, 6), 1),
+                                            ((3, 4, 6), -1), ((3, 6, 2), 1), ((6, 3, 2), 0)])
+    def test_take_along_adjoint_equals_add_at(self, shape, axis):
+        rng = np.random.default_rng(9)
+        a = dm.Tensor(rng.normal(size=shape), requires_grad=True)
+        idx_shape = list(shape)
+        idx_shape[axis] = 9
+        idx = rng.integers(-6, 6, size=idx_shape)
+        out = dm.take_along(a, idx, axis)
+        g = rng.normal(size=out.shape)
+        want = np.zeros(shape)
+        grids = list(np.ogrid[tuple(slice(n) for n in idx.shape)])
+        grids[axis] = idx
+        np.add.at(want, tuple(grids), g)
+        (got,) = out.vjp(g)
+        assert got.tobytes() == want.tobytes()
+
+    def test_take_along_adjoint_with_a_broadcast_index(self):
+        # one index row serves every row of ``a``, as np.take_along_axis allows
+        a = dm.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        out = dm.take_along(a, np.array([[2, 0, 2]]), axis=1)
+        (got,) = out.vjp(np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]]))
+        np.testing.assert_array_equal(got, [[2.0, 0.0, 5.0], [16.0, 0.0, 40.0]])
+
     def test_extrema_and_transcendentals(self):
         rng = np.random.default_rng(7)
         params = {

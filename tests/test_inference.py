@@ -212,3 +212,20 @@ def test_forecast_rejects_non_finite_times(trained):
     with pytest.raises(ValueError, match=r"targets must be finite, got targets\[1\] = nan"):
         forecast(models["hyper"][0], ds.test[0].snapshots[0], ds.obs_coords,
                  [0.0, np.nan], inversion=InversionConfig(steps=1))
+
+
+@pytest.mark.parametrize("times,match", [
+    ([0.0, np.nan], r"targets must be finite, got targets\[1\] = nan"),
+    ([np.nan, 1.0], "t0 must be finite, got nan"),
+    ([0.0, 2.0, 1.0], "strictly increasing"),
+    ([1.0, 0.5], "strictly increasing"),  # a time before the initial one
+    ([], "non-empty"),
+], ids=["nan", "nan-first", "unsorted", "before-t0", "empty"])
+def test_forecast_checks_times_before_inverting(trained, monkeypatch, times, match):
+    def invert(*args, **kwargs):
+        raise AssertionError("forecast inverted before checking its times")
+
+    monkeypatch.setattr(inference, "invert", invert)
+    ds, models = trained
+    with pytest.raises(ValueError, match=match):
+        forecast(models["siren"][0], ds.test[0].snapshots[0], ds.obs_coords, times)

@@ -23,7 +23,7 @@ from pderom.networks import (
     init_decoder,
     init_dynamics,
 )
-from pderom.solvers import Grid, SolverSpec, time_derivative
+from pderom.solvers import Grid, SolverSpec, stencil, time_derivative
 
 from helpers import (
     code_jacobian,
@@ -55,9 +55,14 @@ def reference_target(dec_config, dec_params, alpha, spec, subset, beta=None):
 
 
 def reference_terms(dec_config, dec_params, dyn_config, dyn_params, alpha, snapshot,
-                    spec, subset, beta=None, warmup=False, denom=None):
-    """One snapshot's ``(rec, dyn)``; ``denom`` freezes ``||target||``."""
-    rec = field_rnmse(decode(dec_config, dec_params, alpha, spec.grid.coords()), snapshot)
+                    spec, subset, beta=None, warmup=False, denom=None, obs=None):
+    """One snapshot's ``(rec, dyn)``; ``denom`` freezes ``||target||``.
+
+    ``snapshot`` holds the field at the grid points ``obs`` (default: all).
+    """
+    X = spec.grid.coords()
+    rec = field_rnmse(decode(dec_config, dec_params, alpha, X if obs is None else X[obs]),
+                      snapshot)
     # warm-up: the dynamics term trains the dynamics network alone
     with no_grad() if warmup else nullcontext():
         target = reference_target(dec_config, dec_params, alpha, spec, subset, beta)
@@ -385,14 +390,19 @@ class TestBatchTerms:
     @pytest.mark.parametrize("warmup", [False, True])
     def test_matches_per_snapshot_ops(self, arch, warmup):
         # values and gradients (codes, decoder, dynamics network) of both
-        # terms equal the mean of the per-snapshot reference terms
+        # terms equal the mean of the per-snapshot reference terms, with
+        # the full grid observed and with sparse observations, where the
+        # batch decodes only the sample mesh
         rng = np.random.default_rng(31)
         if arch == "hyper":
             dec_config, spec = HYPER, DIFF_SPEC
             beta_b = None
+            # ring points, ring-adjacent points and an interior point
+            edge = [0, 5, 1763, 43, 44, 85, 1720, 900]
         else:
             dec_config, spec = SIREN, BURG_SPEC
             beta_b = rng.uniform(0.015, 0.03, size=(3, 1))
+            edge = [0, 1, 30, 31]  # inflow, its neighbour, the outflow end
         k = dec_config.latent_dim
         dyn_config = DynamicsConfig(latent_dim=k, layers=2, width=8,
                                     param_dim=0 if beta_b is None else 1)
@@ -404,36 +414,67 @@ class TestBatchTerms:
         alpha_np = rng.normal(size=(3, k)) * 0.4
         snapshots = 1.0 + rng.random((3, n, 1))
         n_sub = int(0.5 * n)
+        rest = np.setdiff1d(np.arange(n), edge)
         subset_idx = np.stack([
-            rng.choice(n, size=n_sub, replace=False) for _ in range(3)
+            np.concatenate([edge, rng.choice(rest, size=n_sub - len(edge), replace=False)])
+            for _ in range(3)
         ])
+        # a tenth of the grid, sharing some points with every subset
+        obs_idx = np.concatenate([edge[::2], rng.choice(rest, size=n // 10, replace=False)])
 
-        alpha_b = Tensor(alpha_np, requires_grad=True)
-        batch = batch_terms(
-            dec_config, dec_params, dyn_config, dyn_params,
-            alpha_b, snapshots, spec, subset_idx,
-            beta_b=beta_b, warmup=warmup,
-        )
-
-        alphas = [Tensor(a, requires_grad=True) for a in alpha_np]
-        recs, dyns = [], []
-        for i, alpha in enumerate(alphas):
-            beta = None if beta_b is None else constant(beta_b[i])
-            rec, dyn = reference_terms(dec_config, dec_params, dyn_config, dyn_params,
-                                       alpha, snapshots[i], spec, subset_idx[i],
-                                       beta, warmup=warmup)
-            recs.append(rec)
-            dyns.append(dyn)
         params = [*dec_params.values(), *dyn_params.values()]
-        for got, terms in zip(batch, (recs, dyns)):
-            want = dm.mul(dm.add(dm.add(terms[0], terms[1]), terms[2]), 1.0 / 3.0)
-            np.testing.assert_allclose(got.data, want.data, rtol=1e-9)
-            g_got = backward(got, [alpha_b, *params])
-            g_want = backward(want, [*alphas, *params])
-            g_want = [np.stack(g_want[:3]), *g_want[3:]]
-            for a, b in zip(g_got, g_want):
-                np.testing.assert_allclose(a, b, rtol=1e-9,
-                                           atol=1e-12 * max(np.abs(b).max(), 1.0))
+        for obs in (None, obs_idx):
+            observed = snapshots if obs is None else snapshots[:, obs]
+            alpha_b = Tensor(alpha_np, requires_grad=True)
+            batch = batch_terms(
+                dec_config, dec_params, dyn_config, dyn_params,
+                alpha_b, observed, spec, subset_idx,
+                obs_indices=obs, beta_b=beta_b, warmup=warmup,
+            )
+
+            alphas = [Tensor(a, requires_grad=True) for a in alpha_np]
+            recs, dyns = [], []
+            for i, alpha in enumerate(alphas):
+                beta = None if beta_b is None else constant(beta_b[i])
+                rec, dyn = reference_terms(dec_config, dec_params, dyn_config, dyn_params,
+                                           alpha, observed[i], spec, subset_idx[i],
+                                           beta, warmup=warmup, obs=obs)
+                recs.append(rec)
+                dyns.append(dyn)
+            for got, terms in zip(batch, (recs, dyns)):
+                want = dm.mul(dm.add(dm.add(terms[0], terms[1]), terms[2]), 1.0 / 3.0)
+                np.testing.assert_allclose(got.data, want.data, rtol=1e-9)
+                g_got = backward(got, [alpha_b, *params])
+                g_want = backward(want, [*alphas, *params])
+                g_want = [np.stack(g_want[:3]), *g_want[3:]]
+                for a, b in zip(g_got, g_want):
+                    np.testing.assert_allclose(a, b, rtol=1e-9,
+                                               atol=1e-12 * max(np.abs(b).max(), 1.0))
+
+    @pytest.mark.parametrize("arch", ["hyper", "siren"])
+    def test_sample_mesh_holds_what_the_losses_read(self, arch):
+        # every observed point and every stencil value the rate reads is
+        # a decoded row, found at its position; no other point is decoded
+        spec = DIFF_SPEC if arch == "hyper" else BURG_SPEC
+        n = spec.grid.num_points
+        rng = np.random.default_rng(36)
+        obs = rng.choice(n, size=n // 10, replace=False)
+        subset_idx = np.stack([rng.choice(n, size=n // 10, replace=False) for _ in range(4)])
+        subset_idx[0, :3] = [0, 1, n - 1]
+        rows, obs_pos, stencil_pos = losses._sample_mesh(spec, obs, subset_idx)
+        st = stencil(spec, subset_idx)
+        for b in range(4):
+            np.testing.assert_array_equal(rows[b, obs_pos[b]], obs)
+            np.testing.assert_array_equal(rows[b, stencil_pos[b]], st[b])
+            assert set(rows[b]) == set(obs) | set(st[b].ravel())
+            assert (np.diff(rows[b][:len(set(rows[b]))]) > 0).all()
+        assert rows.shape[1] == max(len(set(r)) for r in rows)
+        if arch == "hyper":
+            # ring neighbours of ring-adjacent points are not decoded
+            ring = set(np.flatnonzero(np.pad(np.zeros((40, 40), bool), 1,
+                                             constant_values=True)))
+            read_ring = ring & (set(obs) | set(subset_idx.ravel()))
+            assert set(rows.ravel()) & ring == read_ring
 
     def test_warmup_routes_gradients(self):
         rng = np.random.default_rng(33)

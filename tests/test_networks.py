@@ -1,5 +1,7 @@
 """Decoder and dynamics-network contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,30 @@ class TestGridDecoder:
             else:
                 # the affine map sums the layers in another order
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_rows_equal_the_full_decode_gathered(self, setup):
+        # exact mode: rows are evaluated independently, so the chosen
+        # rows equal the full decode's, bit for bit
+        config, params, X, alpha = setup
+        rng = np.random.default_rng(5)
+        batch = rng.normal(size=(3, config.latent_dim)) * 0.4
+        predict = grid_decoder(config, params, X)
+        rows = rng.integers(0, len(X), size=(3, 9))  # repeats allowed
+        full = predict(constant(batch)).data
+        got = predict(constant(batch), rows).data
+        assert got.shape == (3, 9, config.out_channels)
+        assert got.tobytes() == np.take_along_axis(full, rows[..., None], axis=1).tobytes()
+        one = predict(constant(alpha), rows[0]).data
+        assert one.tobytes() == predict(constant(alpha)).data[rows[0]].tobytes()
+
+    @pytest.mark.parametrize("code_shape,rows_shape", [((3,), (2, 5)), ((2, 3), (5,)),
+                                                       ((2, 3), (3, 5))])
+    def test_rows_of_the_wrong_shape_raise(self, setup, code_shape, rows_shape):
+        config, params, X, _ = setup
+        code = np.zeros((*code_shape[:-1], config.latent_dim))
+        with pytest.raises(ValueError, match=f"rows of shape {re.escape(str(rows_shape))}"
+                                             f".*codes of shape {re.escape(str(code.shape))}"):
+            grid_decoder(config, params, X)(constant(code), np.zeros(rows_shape, int))
 
     def test_code_dimension_mismatch(self, setup):
         config, params, X, _ = setup
