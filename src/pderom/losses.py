@@ -12,13 +12,12 @@ decoder and the latent codes through the solver, not just the dynamics
 network.
 
 With sparse observations (``obs_indices``) the losses read the field
-only at the observed points and on the stencils of the subset points,
-so each snapshot is decoded only there, on its sample mesh (the sample
-mesh of GNAT and DEIM hyper-reduction): the decoder evaluates those
-rows of the grid and the solver rate comes from the local stencil
-update, equal bit for bit to the full-grid step at those points.  With
-the full grid observed, every point is read, and the whole grid is
-decoded and stepped.
+only at the observed points and on the stencils of the subset points.
+A siren then decodes each snapshot only there, on its sample mesh (the
+sample mesh of GNAT and DEIM hyper-reduction), and leaves the field
+zero elsewhere; the full-grid step reads no zero at a subset point, so
+the rate there is the one of the fully decoded field.  With the full
+grid observed, every point is read, and the whole grid is decoded.
 
 :func:`batch_terms` is the one definition of both terms: training runs
 it on a whole batch of snapshots at once.  For the hyper decoder it goes
@@ -45,7 +44,7 @@ from .networks import (
     dynamics_eval,
     grid_decoder,
 )
-from .solvers import SolverSpec, stencil, time_derivative
+from .solvers import SolverSpec, time_derivative
 
 __all__ = [
     "NORM_GUARD",
@@ -130,26 +129,30 @@ def _batched_jacobian_siren(config, params, alpha_b: Tensor, coords_b: np.ndarra
 def _sample_mesh(spec: SolverSpec, obs_indices: np.ndarray, subset_idx: np.ndarray):
     """Each snapshot's sample mesh: the grid points its loss terms read.
 
-    That is the observed points ``obs_indices`` plus the stencil of each
-    of the snapshot's subset points (``subset_idx``, (B, n_sub)), less
-    the stencil entries the step does not read.  Returns ``(rows,
-    obs_pos, stencil_pos)``: ``rows`` (B, P) holds each mesh's grid
-    indices in increasing order, padded to the largest mesh by repeating
-    its first point; ``obs_pos`` (B, n_obs) and ``stencil_pos`` (B,
-    n_sub, s) are the positions in ``rows`` of the observed points and
-    of the stencil values :func:`time_derivative` takes.
+    That is the observed points ``obs_indices`` plus each subset point
+    (``subset_idx``, (B, n_sub)) and its neighbours along every grid
+    axis, which hold the stencils of both built-in steps.  Returns
+    ``(rows, place)``: ``rows`` (B, P) holds each mesh's grid indices in
+    increasing order, padded to the largest mesh by repeating its first
+    point; ``place`` (B, N) holds each grid point's position in its row
+    of ``rows``, or P off the mesh.
     """
-    st = stencil(spec, subset_idx)
     b = len(subset_idx)
-    mask = np.zeros((b, spec.grid.num_points), dtype=bool)
-    mask[:, obs_indices] = True
-    mask[np.arange(b)[:, None], st.reshape(b, -1)] = True
-    pos = np.cumsum(mask, axis=1) - 1  # each grid point's place in its row
-    rows = np.repeat(mask.argmax(axis=1)[:, None], pos[:, -1].max() + 1, axis=1)
-    r, c = np.nonzero(mask)
+    centre = np.zeros((b, *spec.grid.shape), dtype=bool)
+    centre.reshape(b, -1)[np.arange(b)[:, None], subset_idx] = True
+    mesh = centre.copy()
+    for axis in range(1, centre.ndim):
+        m, c = np.swapaxes(mesh, 0, axis), np.swapaxes(centre, 0, axis)  # views
+        m[1:] |= c[:-1]
+        m[:-1] |= c[1:]
+    mesh = mesh.reshape(b, -1)
+    mesh[:, obs_indices] = True
+    pos = np.cumsum(mesh, axis=1) - 1  # each grid point's place in its row
+    width = pos[:, -1].max() + 1
+    rows = np.repeat(mesh.argmax(axis=1)[:, None], width, axis=1)
+    r, c = np.nonzero(mesh)
     rows[r, pos[r, c]] = c
-    stencil_pos = np.take_along_axis(pos, st.reshape(b, -1), axis=1).reshape(st.shape)
-    return rows, pos[:, obs_indices], stencil_pos
+    return rows, np.where(mesh, pos, width)
 
 
 def batch_terms(dec_config: DecoderConfig, dec_params: dict,
@@ -164,10 +167,10 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
     ``alpha_b``: (B, k) codes on the tape.  ``snapshots``: (B, N_obs, 1)
     observed values on the training grid, which is either the full
     solver grid (``obs_indices`` None) or the fixed sparse subset
-    ``obs_indices`` of it; in the sparse case each snapshot is decoded
-    only on its sample mesh.  ``subset_idx``: (B, n_sub) hyper-reduction
-    draws, one row per snapshot.  ``beta_b``: (B, p) PDE parameters for
-    parameterized problems.
+    ``obs_indices`` of it; in the sparse case a siren decodes each
+    snapshot only on its sample mesh.  ``subset_idx``: (B, n_sub)
+    hyper-reduction draws, one row per snapshot.  ``beta_b``: (B, p) PDE
+    parameters for parameterized problems.
 
     In warm-up mode the dynamics target and the codes feeding the
     dynamics network are detached, so that term trains the dynamics
@@ -183,26 +186,29 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
     X_solver = spec.grid.coords()
 
     beta_t = None if beta_b is None else constant(beta_b)
-    sparse = obs_indices is not None
-    if sparse:
-        rows, obs_pos, stencil_pos = _sample_mesh(spec, obs_indices, subset_idx)
 
-    # one field decode serves both loss terms, on the solver grid or on
-    # the sample mesh; for the hyper decoder the affine map also
-    # supplies every Jacobian row
+    # one field decode on the solver grid serves both loss terms; for the
+    # hyper decoder the affine map also supplies every Jacobian row
     affine = None
     if dec_config.architecture == "hyper":
         affine = affine_decomposition(dec_config, dec_params, X_solver, fast=True)
-        u = dm.add(dm.matmul(alpha_b, affine[0]), affine[1])  # (B, N)
-        if sparse:
-            u = dm.take_along(u, rows, axis=1)
-    elif not sparse:
-        u = dm.reshape(decode(dec_config, dec_params, alpha_b, X_solver, fast=True), (b, n))
+        u_flat = dm.add(dm.matmul(alpha_b, affine[0]), affine[1])  # (B, N)
     else:
         predict = grid_decoder(dec_config, dec_params, X_solver, fast=True)
-        u = dm.reshape(predict(alpha_b, rows), rows.shape)
+        if obs_indices is None:
+            u_flat = dm.reshape(predict(alpha_b), (b, n))
+        else:
+            # decode the sample meshes; the field stays zero off them,
+            # where no loss term reads it
+            rows, place = _sample_mesh(spec, obs_indices, subset_idx)
+            u_mesh = dm.reshape(predict(alpha_b, rows), rows.shape)
+            zero = constant(np.zeros((b, 1)))
+            u_flat = dm.take_along(dm.concat([u_mesh, zero], axis=1), place, axis=1)
 
-    u_obs = dm.take_along(u, obs_pos, axis=1) if sparse else u
+    if obs_indices is None:
+        u_obs = u_flat
+    else:
+        u_obs = dm.transpose(dm.take_rows(dm.transpose(u_flat), obs_indices))
     rec = field_rnmse(
         dm.reshape(u_obs, (b, u_obs.shape[-1], 1)), snapshots
     )
@@ -210,13 +216,8 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
     # dynamics term: solver rate and Jacobian restricted to the
     # per-snapshot subsets, projected by least squares
     with no_grad() if warmup else nullcontext():
-        if sparse:
-            u_st = dm.take_along(u, stencil_pos.reshape(b, -1), axis=1)
-            rate_sub = time_derivative(spec, dm.reshape(u_st, stencil_pos.shape), beta_t,
-                                       at=subset_idx)
-        else:
-            rate = time_derivative(spec, dm.reshape(u, (b, *spec.grid.shape)), beta_t)
-            rate_sub = dm.take_along(dm.reshape(rate, (b, n)), subset_idx, axis=1)
+        rate = time_derivative(spec, dm.reshape(u_flat, (b, *spec.grid.shape)), beta_t)
+        rate_sub = dm.take_along(dm.reshape(rate, (b, n)), subset_idx, axis=1)
         if affine is not None:
             jac = dm.take_rows(dm.transpose(affine[0]), subset_idx)  # (B, n_sub, k)
         else:

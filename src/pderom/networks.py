@@ -266,13 +266,12 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
     the code and, through the bound grid part, the parameters.  For
     siren it is what :func:`decode` runs on a non-dual code, bit for bit.
 
-    Its optional second argument ``rows``, shape (P,) for one code or
-    (B, P) for a batch, picks the grid points to evaluate, one set per
-    code; the result is then (P, m) or (B, P, m).  A siren gathers its
-    grid part's ``sin p``/``cos p`` rows and runs every layer after it
-    on those rows alone; a hyper decoder gathers the affine map's
-    output.  In exact mode the result equals the full decode gathered
-    at ``rows``, bit for bit.
+    A siren's function takes an optional second argument ``rows``,
+    shape (P,) for one code or (B, P) for a batch: the grid points to
+    evaluate, one set per code.  It gathers those rows of ``sin p`` and
+    ``cos p`` and runs every later layer on them alone, returning (P, m)
+    or (B, P, m); in exact mode that equals the full decode gathered at
+    ``rows``, bit for bit.
     """
     xn = _normalized_coords(config, X)
     rs = not fast
@@ -281,16 +280,11 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
         A, c = affine_decomposition(config, params, X, fast=fast)
         n, m = xn.shape[-2], config.out_channels
 
-        def predict(code, rows=None):
+        def predict(code):
             shape = _check_code(config, code, xn)
-            rows = None if rows is None else _check_rows(shape, rows)
-            codes = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
-            flat = dm.add(dm.matmul(codes, A, rs), c)
-            out = dm.reshape(flat, (*shape[:-1], n, m))
-            if rows is None:
-                return out
-            return dm.take_along(out, np.broadcast_to(rows[..., None], (*rows.shape, m)),
-                                 axis=-2)
+            rows = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
+            flat = dm.add(dm.matmul(rows, A, rs), c)
+            return dm.reshape(flat, (*shape[:-1], n, m))
 
         return predict
 

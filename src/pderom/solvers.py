@@ -17,9 +17,7 @@ Burgers' problem, to its source parameter):
   cell n-1 as both its states.
 
 A solver also defines the time derivative used by the training loss,
-the one-step rate ``(S[u] - u) / dt``, on the whole grid or at chosen
-points from the field on their stencils (:func:`stencil`).  Both run
-the same update expressions, so the two agree bit for bit.
+the one-step rate ``(S[u] - u) / dt``.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "CFLError",
     "diffusion_step",
     "burgers_step",
-    "stencil",
     "time_derivative",
     "rollout",
 ]
@@ -174,26 +171,25 @@ def diffusion_step(u, kappa: float, dt: float, grid: Grid) -> Tensor:
     ny, nx = grid.shape
     if u.shape[-2:] != (ny, nx):
         raise SolverError(f"field shape {u.shape[-2:]} does not match grid {grid.shape}")
+    hy, hx = grid.spacing
     lead = (slice(None),) * (u.ndim - 2)
     ring = ((0, 0),) * (u.ndim - 2) + ((1, 1), (1, 1))
     inner = slice(1, -1)
     ui = dm.slice_(u, lead + (inner, inner))
     uz = dm.pad_zero(ui, ring)
-    new = _ftcs(ui, dm.slice_(uz, lead + (slice(0, -2), inner)),
-                dm.slice_(uz, lead + (slice(2, None), inner)),
-                dm.slice_(uz, lead + (inner, slice(0, -2))),
-                dm.slice_(uz, lead + (inner, slice(2, None))), kappa, dt, grid)
-    return dm.pad_zero(new, ring)
-
-
-def _ftcs(c, north, south, west, east, kappa: float, dt: float, grid: Grid) -> Tensor:
-    """The FTCS update of cells ``c`` from their four neighbours' values."""
-    hy, hx = grid.spacing
     lap = dm.add(
-        dm.mul(dm.add(north, south) - dm.mul(c, 2.0), 1.0 / (hy * hy)),
-        dm.mul(dm.add(west, east) - dm.mul(c, 2.0), 1.0 / (hx * hx)),
+        dm.mul(
+            dm.add(dm.slice_(uz, lead + (slice(0, -2), inner)),
+                   dm.slice_(uz, lead + (slice(2, None), inner))) - dm.mul(ui, 2.0),
+            1.0 / (hy * hy),
+        ),
+        dm.mul(
+            dm.add(dm.slice_(uz, lead + (inner, slice(0, -2))),
+                   dm.slice_(uz, lead + (inner, slice(2, None)))) - dm.mul(ui, 2.0),
+            1.0 / (hx * hx),
+        ),
     )
-    return dm.add(c, dm.mul(lap, kappa * dt))
+    return dm.pad_zero(dm.add(ui, dm.mul(lap, kappa * dt)), ring)
 
 
 def _godunov_flux(left, right):
@@ -202,28 +198,6 @@ def _godunov_flux(left, right):
     fl = dm.pow_const(dm.maximum(left, 0.0), 2.0)
     fr = dm.pow_const(dm.minimum(right, 0.0), 2.0)
     return dm.mul(dm.maximum(fl, fr), 0.5)
-
-
-def _godunov_cell(w, flux_left, flux_right, mu, x: np.ndarray, dt: float, h: float) -> Tensor:
-    """The Godunov update of cells ``w`` at coordinates ``x``, with source."""
-    if mu is None:
-        raise SolverError("burgers1d needs mu: pass beta or set params['mu']")
-    mu_t = as_tensor(mu)
-    if mu_t.ndim > 0 and mu_t.shape[-1] != 1:
-        raise SolverError("mu must be a scalar or have a trailing axis of size 1")
-    df = dm.sub(flux_right, flux_left)
-    source = dm.mul(dm.exp(dm.mul(mu_t, constant(x))), BURGERS_SOURCE_SCALE * dt)
-    return dm.add(dm.sub(w, dm.mul(df, dt / h)), source)
-
-
-def _check_cfl(w: np.ndarray, dt: float, h: float, lead: int) -> None:
-    """Raise :class:`CFLError` if ``dt * max|w| / h > 1``; ``lead`` batch axes."""
-    max_w = float(np.abs(w).max())
-    cfl = dt * max_w / h
-    if cfl > 1.0:
-        per_row = np.abs(w).reshape(*w.shape[:lead], -1).max(axis=-1)
-        raise CFLError(cfl, max_w, np.flatnonzero(dt * per_row / h > 1.0).tolist()
-                       if lead else [])
 
 
 def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
@@ -238,123 +212,48 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
     ``w`` and ``mu``.  Raises :class:`CFLError` when
     ``dt * max|w| / h > 1``.
     """
+    if mu is None:
+        raise SolverError("burgers1d needs mu: pass beta or set params['mu']")
     w = as_tensor(w)
     (n,) = grid.shape
     if w.shape[-1] != n:
         raise SolverError(f"field length {w.shape[-1]} does not match grid {grid.shape}")
     h = grid.spacing[0]
+    max_w = float(np.abs(w.data).max())
+    cfl = dt * max_w / h
     lead = w.shape[:-1]
-    _check_cfl(w.data, dt, h, len(lead))
+    if cfl > 1.0:
+        row_cfl = dt * np.abs(w.data).max(axis=-1) / h
+        raise CFLError(cfl, max_w, np.flatnonzero(row_cfl > 1.0).tolist() if lead else [])
     key = (slice(None),) * len(lead)
     right = dm.concat([dm.slice_(w, key + (slice(1, n),)),
                        dm.slice_(w, key + (slice(n - 1, n),))], axis=-1)
     flux = _godunov_flux(w, right)  # (..., n) fluxes at interfaces 1..n
+    df = dm.sub(
+        dm.slice_(flux, key + (slice(1, n),)),
+        dm.slice_(flux, key + (slice(0, n - 1),)),
+    )
+
+    x = grid._coords.reshape(-1)
+    mu_t = as_tensor(mu)
+    if mu_t.ndim > 0 and mu_t.shape[-1] != 1:
+        raise SolverError("mu must be a scalar or have a trailing axis of size 1")
+    source = dm.mul(dm.exp(dm.mul(mu_t, constant(x[1:]))), BURGERS_SOURCE_SCALE * dt)
     # w[1:] sliced again, not shared with ``right``: one shared slice
     # would reorder the gradient's accumulation
-    updated = _godunov_cell(dm.slice_(w, key + (slice(1, n),)),
-                            dm.slice_(flux, key + (slice(0, n - 1),)),
-                            dm.slice_(flux, key + (slice(1, n),)),
-                            mu, grid._coords.reshape(-1)[1:], dt, h)
+    updated = dm.add(dm.sub(dm.slice_(w, key + (slice(1, n),)), dm.mul(df, dt / h)), source)
     inflow = constant(np.broadcast_to(BURGERS_INFLOW, (*lead, 1)))
     return dm.concat([inflow, updated], axis=-1)
 
 
-# Each PDE's stencil: grid-index offsets of the values one step reads to
-# update a cell, the cell itself first, in the order the update takes
-# them (_ftcs: centre, north, south, west, east; _godunov_cell: centre,
-# left, right).
-_STENCILS = {
-    "diffusion2d": ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1)),
-    "burgers1d": ((0,), (-1,), (1,)),
-}
-
-
-def _stencil(spec: SolverSpec, at) -> tuple[np.ndarray, np.ndarray]:
-    """Stencil grid indices around the points ``at`` and which ones the step reads.
-
-    Returns ``(idx, reads)``, both of shape (*at.shape, s).  Offsets
-    past the grid are clipped to it, which makes the last Burgers cell
-    its own right neighbour (the outflow state).  The step reads
-    nothing around a boundary cell (the diffusion ring, the Burgers
-    inflow cell 0), whose new value is fixed, and a diffusion cell does
-    not read its neighbours on the ring, which count as zero.
-    """
-    shape = np.array(spec.grid.shape)
-    pos = np.stack(np.unravel_index(np.asarray(at), spec.grid.shape), axis=-1)
-    nb = pos[..., None, :] + np.array(_STENCILS[spec.pde])  # (..., n, s, d)
-    if spec.pde == "diffusion2d":
-        interior = ((nb >= 1) & (nb <= shape - 2)).all(axis=-1)
-        reads = interior & interior[..., :1]
-    else:
-        reads = np.broadcast_to(pos[..., :1] >= 1, nb.shape[:-1])
-    nb = np.clip(nb, 0, shape - 1)
-    return np.ravel_multi_index(tuple(np.moveaxis(nb, -1, 0)), spec.grid.shape), reads
-
-
-def stencil(spec: SolverSpec, at) -> np.ndarray:
-    """Grid indices of the values the step reads to update the points ``at``.
-
-    ``at`` holds grid indices of any shape; the result has one more
-    axis, the stencil, with the point itself first (see
-    :func:`time_derivative`).  Entries the step does not read, such as
-    diffusion neighbours on the zero ring, hold the point itself.
-    """
-    idx, reads = _stencil(spec, at)
-    return np.where(reads, idx, idx[..., :1])
-
-
-def _local_step(spec: SolverSpec, u: Tensor, beta, at) -> Tensor:
-    """The step's new values at the points ``at`` from ``u`` on their stencils."""
-    reads = _stencil(spec, at)[1]
-    if u.shape != reads.shape:
-        raise SolverError(f"stencil values of shape {u.shape} do not match the "
-                          f"stencils of points {np.shape(at)}: {reads.shape}")
-    lead, s = reads.shape[:-1], reads.shape[-1]
-    # entries the step does not read become +0.0, as the zero ring is
-    v = dm.take_along(dm.concat([u, constant(np.zeros((*lead, 1)))], axis=-1),
-                      np.where(reads, np.arange(s), s), axis=-1)
-    key = (slice(None),) * len(lead)
-    cols = [dm.reshape(dm.slice_(v, key + (slice(j, j + 1),)), lead) for j in range(s)]
-    if spec.pde == "diffusion2d":
-        new, fixed = _ftcs(*cols, spec.params["kappa"], spec.dt, spec.grid), 0.0
-    else:
-        mu = spec.params.get("mu") if beta is None else beta
-        h = spec.grid.spacing[0]
-        _check_cfl(v.data, spec.dt, h, len(lead) - 1)
-        c, left, right = cols
-        x = spec.grid._coords.reshape(-1)[np.asarray(at)]
-        new = _godunov_cell(c, _godunov_flux(left, c), _godunov_flux(c, right),
-                            mu, x, spec.dt, h)
-        fixed = BURGERS_INFLOW
-    # boundary cells take their fixed value, as the full-grid step sets it
-    n = lead[-1]
-    boundary = constant(np.full((*lead[:-1], 1), fixed))
-    return dm.take_along(dm.concat([new, boundary], axis=-1),
-                         np.where(reads[..., 0], np.arange(n), n), axis=-1)
-
-
-def time_derivative(spec: SolverSpec, u, beta=None, at=None) -> Tensor:
+def time_derivative(spec: SolverSpec, u, beta=None) -> Tensor:
     """Field rate from one solver step: ``(S[u] - u) / dt``.
 
     Differentiable with respect to ``u`` through the step, so training
     losses built on this rate backpropagate into the decoder.
-
-    With ``at`` None, ``u`` is the whole field, (..., *grid.shape), and
-    so is the rate.  Otherwise the rate is local: ``at`` holds grid
-    indices, shape (..., n), and ``u`` the field on their stencils,
-    (..., n, s), in the order of :func:`stencil`; entries the step does
-    not read may hold anything.  The (..., n) result equals the
-    full-grid rate at ``at`` bit for bit, from the same update
-    expressions; for Burgers the CFL bound is checked on the values read.
     """
     u = as_tensor(u)
-    if at is None:
-        new = spec.step(u, beta)
-    else:
-        new = _local_step(spec, u, beta, at)
-        u = dm.reshape(dm.slice_(u, (slice(None),) * (u.ndim - 1) + (slice(0, 1),)),
-                       u.shape[:-1])  # the points themselves
-    return dm.div(dm.sub(new, u), constant(spec.dt))
+    return dm.div(dm.sub(spec.step(u, beta), u), constant(spec.dt))
 
 
 def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,

@@ -23,7 +23,7 @@ from pderom.networks import (
     init_decoder,
     init_dynamics,
 )
-from pderom.solvers import Grid, SolverSpec, stencil, time_derivative
+from pderom.solvers import Grid, SolverSpec, time_derivative
 
 from helpers import (
     code_jacobian,
@@ -451,30 +451,42 @@ class TestBatchTerms:
                     np.testing.assert_allclose(a, b, rtol=1e-9,
                                                atol=1e-12 * max(np.abs(b).max(), 1.0))
 
-    @pytest.mark.parametrize("arch", ["hyper", "siren"])
-    def test_sample_mesh_holds_what_the_losses_read(self, arch):
-        # every observed point and every stencil value the rate reads is
-        # a decoded row, found at its position; no other point is decoded
-        spec = DIFF_SPEC if arch == "hyper" else BURG_SPEC
+    @pytest.mark.parametrize("spec", [DIFF_SPEC, BURG_SPEC], ids=["diffusion", "burgers"])
+    def test_sample_mesh_holds_what_the_losses_read(self, spec):
+        # the mesh is the observed points plus each subset point and its
+        # grid-axis neighbours, and a field zeroed off it has the full
+        # field's rate at every subset point, bit for bit
         n = spec.grid.num_points
         rng = np.random.default_rng(36)
         obs = rng.choice(n, size=n // 10, replace=False)
         subset_idx = np.stack([rng.choice(n, size=n // 10, replace=False) for _ in range(4)])
-        subset_idx[0, :3] = [0, 1, n - 1]
-        rows, obs_pos, stencil_pos = losses._sample_mesh(spec, obs, subset_idx)
-        st = stencil(spec, subset_idx)
+        subset_idx[0, :3] = [0, 1, n - 1]  # a corner or the inflow, its neighbour, the end
+        rows, place = losses._sample_mesh(spec, obs, subset_idx)
+        width = rows.shape[1]
+        shape = np.array(spec.grid.shape)
         for b in range(4):
-            np.testing.assert_array_equal(rows[b, obs_pos[b]], obs)
-            np.testing.assert_array_equal(rows[b, stencil_pos[b]], st[b])
-            assert set(rows[b]) == set(obs) | set(st[b].ravel())
-            assert (np.diff(rows[b][:len(set(rows[b]))]) > 0).all()
-        assert rows.shape[1] == max(len(set(r)) for r in rows)
-        if arch == "hyper":
-            # ring neighbours of ring-adjacent points are not decoded
-            ring = set(np.flatnonzero(np.pad(np.zeros((40, 40), bool), 1,
-                                             constant_values=True)))
-            read_ring = ring & (set(obs) | set(subset_idx.ravel()))
-            assert set(rows.ravel()) & ring == read_ring
+            pos = np.stack(np.unravel_index(subset_idx[b], spec.grid.shape), axis=-1)
+            want = set(obs) | set(subset_idx[b])
+            for axis in range(len(shape)):
+                for step in (-1, 1):
+                    nb = pos.copy()
+                    nb[:, axis] += step
+                    inside = ((nb >= 0) & (nb < shape)).all(axis=1)
+                    want |= set(np.ravel_multi_index(tuple(nb[inside].T), spec.grid.shape))
+            assert set(rows[b]) == want
+            assert (np.diff(rows[b, :len(want)]) > 0).all()
+            on = place[b] < width
+            np.testing.assert_array_equal(np.flatnonzero(on), rows[b, :len(want)])
+            np.testing.assert_array_equal(rows[b, place[b, on]], np.flatnonzero(on))
+        assert width == max(len(set(r)) for r in rows)
+
+        u = 0.5 + rng.random((4, *spec.grid.shape))  # non-zero on the ring
+        beta = None if spec.pde == "diffusion2d" else rng.uniform(0.015, 0.03, size=(4, 1))
+        zeroed = np.where((place < width).reshape(u.shape), u, 0.0)
+        full = time_derivative(spec, u, beta).data.reshape(4, n)
+        got = time_derivative(spec, zeroed, beta).data.reshape(4, n)
+        assert (np.take_along_axis(got, subset_idx, axis=1).tobytes()
+                == np.take_along_axis(full, subset_idx, axis=1).tobytes())
 
     def test_warmup_routes_gradients(self):
         rng = np.random.default_rng(33)

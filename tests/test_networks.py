@@ -234,6 +234,7 @@ class TestGridDecoder:
                 # the affine map sums the layers in another order
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("setup", ["siren"], indirect=True)
     def test_rows_equal_the_full_decode_gathered(self, setup):
         # exact mode: rows are evaluated independently, so the chosen
         # rows equal the full decode's, bit for bit
@@ -249,6 +250,7 @@ class TestGridDecoder:
         one = predict(constant(alpha), rows[0]).data
         assert one.tobytes() == predict(constant(alpha)).data[rows[0]].tobytes()
 
+    @pytest.mark.parametrize("setup", ["siren"], indirect=True)
     @pytest.mark.parametrize("code_shape,rows_shape", [((3,), (2, 5)), ((2, 3), (5,)),
                                                        ((2, 3), (3, 5))])
     def test_rows_of_the_wrong_shape_raise(self, setup, code_shape, rows_shape):

@@ -14,7 +14,6 @@ from pderom.solvers import (
     burgers_step,
     diffusion_step,
     rollout,
-    stencil,
     time_derivative,
 )
 
@@ -242,107 +241,6 @@ class TestTimeDerivative:
             return dm.sum_(time_derivative(spec, p["u"]) * constant(weights))
 
         assert fd_check_params(loss, {"u": constant(1.0 + 0.3 * rng.random(16))}) <= 1e-5
-
-
-class TestLocalRate:
-    """``time_derivative(..., at=...)`` from the field on each point's
-    stencil equals the full-grid rate at those points, bit for bit."""
-
-    SMALL_BURG = SolverSpec("burgers1d", Grid((0.0,), (100.0,), (32,)), dt=0.02,
-                            params={"mu": 0.02})
-
-    def _both(self, spec, u, at, beta=None):
-        """Full-grid rate gathered at ``at``, the local rate, and ``u`` flat."""
-        b, n = len(at), spec.grid.num_points
-        full = dm.take_along(dm.reshape(time_derivative(spec, u, beta), (b, n)), at, axis=1)
-        st = stencil(spec, at)
-        u_st = dm.take_along(dm.reshape(u, (b, n)), st.reshape(b, -1), axis=1)
-        return full, time_derivative(spec, dm.reshape(u_st, st.shape), beta, at=at)
-
-    def _check(self, spec, u, at, beta=None):
-        wrt = [u] if beta is None else [u, beta]
-        full, local = self._both(spec, u, at, beta)
-        assert local.shape == at.shape
-        assert local.data.tobytes() == full.data.tobytes()
-        w = constant(np.random.default_rng(1).normal(size=at.shape))
-        g_full = dm.backward(dm.sum_(dm.mul(full, w)), wrt)
-        g_local = dm.backward(dm.sum_(dm.mul(local, w)), wrt)
-        for a, b in zip(g_local, g_full):
-            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-
-    def test_diffusion_ring_ring_adjacent_and_interior(self):
-        rng = np.random.default_rng(0)
-        u = dm.Tensor(rng.normal(size=(2, 42, 42)), requires_grad=True)  # non-zero ring
-        flat = lambda r, c: r * 42 + c
-        at = np.array([
-            [flat(0, 0), flat(0, 17), flat(41, 5), flat(9, 41), flat(1, 1), flat(1, 20),
-             flat(40, 40), flat(20, 40), flat(21, 21), flat(33, 7)],
-            [flat(20, 0), flat(41, 41), flat(1, 40), flat(40, 1), flat(2, 2), flat(30, 1),
-             flat(1, 30), flat(17, 23), flat(21, 21), flat(0, 41)],
-        ])
-        self._check(DIFF_SPEC, u, at)
-
-    def test_burgers_inflow_outflow_and_interior_with_batched_beta(self):
-        spec = self.SMALL_BURG
-        rng = np.random.default_rng(2)
-        u = dm.Tensor(rng.uniform(-1.0, 2.0, size=(3, 32)), requires_grad=True)
-        beta = dm.Tensor(np.array([[0.015], [0.02], [0.03]]), requires_grad=True)
-        at = np.array([[0, 1, 31, 12], [31, 30, 0, 5], [1, 2, 17, 0]])
-        self._check(spec, u, at, beta)
-
-    def test_burgers_default_mu(self):
-        rng = np.random.default_rng(3)
-        u = dm.Tensor(rng.uniform(0.5, 1.5, size=(1, 256)), requires_grad=True)
-        self._check(BURG_SPEC, u, np.array([[0, 1, 100, 254, 255]]))
-
-    @pytest.mark.parametrize("pde", ["diffusion", "burgers"])
-    def test_entries_the_step_does_not_read_are_ignored(self, pde):
-        # a diffusion ring point reads no neighbour and a ring-adjacent
-        # point not its ring neighbours; nothing around the Burgers inflow
-        # cell is read, but the last cell's outflow slot is
-        T, F = True, False
-        if pde == "diffusion":
-            spec, at = DIFF_SPEC, np.array([[0, 43, 44, 900]])
-            unread = np.array([[[F, T, T, T, T], [F, T, F, T, F], [F, T, F, F, F],
-                                [F, F, F, F, F]]])
-        else:
-            spec, at = self.SMALL_BURG, np.array([[0, 1, 31]])
-            unread = np.array([[[F, T, T], [F, F, F], [F, F, F]]])
-        rng = np.random.default_rng(4)
-        u = rng.uniform(0.5, 1.5, size=unread.shape)
-        junk = np.where(unread, rng.uniform(-100.0, 100.0, size=unread.shape), u)
-        rate = time_derivative(spec, constant(u), at=at).data
-        assert time_derivative(spec, constant(junk), at=at).data.tobytes() == rate.tobytes()
-        moved = u.copy()
-        moved[~unread] += 0.25
-        changed = time_derivative(spec, constant(moved), at=at).data != rate
-        assert changed[0, 1:].all()
-
-    def test_stencil_skips_what_the_step_does_not_read(self):
-        # diffusion: a ring point reads nothing, a ring-adjacent point not
-        # its ring neighbour; Burgers: cell 0 reads nothing, the last cell
-        # is its own right neighbour
-        np.testing.assert_array_equal(stencil(DIFF_SPEC, np.array([5])), [[5] * 5])
-        np.testing.assert_array_equal(stencil(DIFF_SPEC, np.array([43])),
-                                      [[43, 43, 85, 43, 44]])
-        np.testing.assert_array_equal(stencil(self.SMALL_BURG, np.array([0, 1, 31])),
-                                      [[0, 0, 0], [1, 0, 2], [31, 30, 31]])
-
-    def test_cfl_is_checked_on_the_values_read(self):
-        spec = self.SMALL_BURG  # h = 100/31, so |w| > 161 breaks the bound
-        at = np.array([[0, 5], [10, 31]])
-        u = np.ones(stencil(spec, at).shape)
-        u[0, 0, 2] = 500.0  # around the inflow cell: never read
-        time_derivative(spec, constant(u), at=at)
-        u[1, 1, 1] = 500.0
-        with pytest.raises(CFLError) as err:
-            time_derivative(spec, constant(u), at=at)
-        assert err.value.rows == [1]
-
-    def test_stencil_shape_mismatch_raises(self):
-        at = np.array([[44, 45]])
-        with pytest.raises(SolverError, match=r"\(1, 2, 3\).*\(1, 2, 5\)"):
-            time_derivative(DIFF_SPEC, constant(np.ones((1, 2, 3))), at=at)
 
 
 class TestRollout:
