@@ -39,7 +39,3 @@ class DualBatch:
             )
         if self.tangent.shape[0] < 1:
             raise ValueError("need at least one tangent")
-
-    @property
-    def num_tangents(self) -> int:
-        return self.tangent.shape[0]

@@ -27,7 +27,7 @@ from .networks import (
     dynamics_eval,
     grid_decoder,
 )
-from .training import Model, TrainingConfig, adamw_init, adamw_step
+from .training import Model, adamw_init, adamw_step
 
 __all__ = [
     "InversionConfig",
@@ -85,9 +85,6 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
     b = batch.shape[0]
     k = config.latent_dim
 
-    opt_config = TrainingConfig(
-        epochs=1, warmup_epochs=0, lr0=inversion.lr, weight_decay=0.0
-    )
     # the decoder parameters are frozen, so the grid part of the decoder
     # (the affine map for hyper, the first layer's grid sines for siren)
     # is computed once for every step
@@ -104,7 +101,7 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
         except NonFiniteError as err:
             err.args = (f"{err} (inversion step {step})",)
             raise
-        alpha, state = adamw_step(alpha, {"alpha": g}, state, inversion.lr, opt_config)
+        alpha, state = adamw_step(alpha, {"alpha": g}, state, inversion.lr, 0.0)
     with no_grad():
         final = field_rnmse(predict(alpha["alpha"]), batch).data
     codes = alpha["alpha"].data

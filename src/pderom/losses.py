@@ -208,7 +208,7 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
     if obs_indices is None:
         u_obs = u_flat
     else:
-        u_obs = dm.transpose(dm.take_rows(dm.transpose(u_flat), obs_indices))
+        u_obs = dm.take_along(u_flat, obs_indices[None], axis=1)
     rec = field_rnmse(
         dm.reshape(u_obs, (b, u_obs.shape[-1], 1)), snapshots
     )

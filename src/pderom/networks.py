@@ -49,6 +49,7 @@ import numpy as np
 
 from . import diffmath as dm
 from .diffmath import DualBatch, Tensor, constant
+from .solvers import _is_integer
 
 __all__ = [
     "DecoderConfig",
@@ -64,15 +65,11 @@ __all__ = [
 
 
 def _check_counts(config, names) -> None:
-    """Raise ``ValueError`` unless each named field is an integer.
-
-    Python and numpy integers pass; bools and floats (even integral
-    ones) do not, since ``range``, seeding and array shapes reject them
-    later and far from the config.
-    """
+    """Raise ``ValueError`` unless each named field is an integer
+    (:func:`solvers._is_integer`)."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

@@ -67,7 +67,11 @@ class CFLError(SolverError):
 
 
 def _is_integer(value) -> bool:
-    # the rule of networks._check_counts: bools and floats are not counts
+    """Whether ``value`` is a count: a Python or numpy integer.
+
+    Bools and floats (even integral ones) are not, since ``range``,
+    seeding and array shapes reject them later and far from the config.
+    """
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 

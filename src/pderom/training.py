@@ -45,6 +45,11 @@ __all__ = [
 
 logger = logging.getLogger("pderom.training")
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba, 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -57,9 +62,6 @@ class TrainingConfig:
     lam: float = 0.5
     gamma: float = 0.1
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     checkpoint_every: int = 500
 
@@ -75,11 +77,6 @@ class TrainingConfig:
             raise ValueError("lr0 must be positive and finite")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError("decay_rate must lie in (0, 1]")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
         if not self.weight_decay >= 0:
             raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1:
@@ -110,37 +107,37 @@ class AdamState:
 
 
 def adamw_init(params: dict) -> AdamState:
-    zeros = lambda p: np.zeros_like(p.data if isinstance(p, Tensor) else p)
-    return AdamState({k: zeros(p) for k, p in params.items()},
-                     {k: zeros(p) for k, p in params.items()})
+    return AdamState({k: np.zeros_like(p.data) for k, p in params.items()},
+                     {k: np.zeros_like(p.data) for k, p in params.items()})
 
 
 def adamw_step(params: dict, grads: dict, state: AdamState, lr: float,
-               config: TrainingConfig) -> tuple[dict, AdamState]:
+               weight_decay: float) -> tuple[dict, AdamState]:
     """One decoupled-weight-decay adaptive-moment update.
 
     ``params`` maps names to tensors, ``grads`` names to arrays of the
-    same shape.  Returns fresh parameter tensors; moments are updated in
-    place inside the state.
+    same shape.  ``weight_decay`` applies to the names that
+    :func:`decays_weight` selects.  Returns fresh parameter tensors;
+    moments are updated in place inside the state.
     """
     t = state.step + 1
-    c1 = 1.0 - config.beta1**t
-    c2 = 1.0 - config.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     out = {}
     for name, p in params.items():
         g = grads[name]
-        pd = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
+        pd = p.data
         if g.shape != pd.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {pd.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        new = pd - lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
-        if config.weight_decay and decays_weight(name):
-            new = new - lr * config.weight_decay * pd
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        new = pd - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        if weight_decay and decays_weight(name):
+            new = new - lr * weight_decay * pd
         out[name] = Tensor(new, requires_grad=True)
     state.step = t
     return out, state
@@ -264,7 +261,7 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
                 err.args = (f"{err} (epoch {epoch}, batch rows {rows.tolist()})",)
                 raise
             joint, state = adamw_step(
-                joint, dict(zip(names, grads)), state, lr, config
+                joint, dict(zip(names, grads)), state, lr, config.weight_decay
             )
             rec_sum += float(rec.data) * b
             dyn_sum += float(dyn.data) * b

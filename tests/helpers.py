@@ -4,7 +4,7 @@ These deliberately avoid the library's differentiation machinery: the
 finite-difference gradient checker calls the function under test as a
 black box, and the reference solutions are closed-form, brute-force or
 plain-numpy restatements of a scheme (:func:`ftcs_step`,
-:func:`godunov_step`).
+:func:`godunov_step`, :func:`adamw_steps`).
 The exceptions build on the tape: :func:`siren_tangents_forward` and
 :func:`hyper_tangents_forward` are forward-mode references for the
 decoders' code tangents, independent of the library's reverse sweeps;
@@ -197,6 +197,32 @@ def fd_check_params(loss_fn, params: dict, step: float = 1e-5, grads=None):
 def normal_equations_lstsq(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Independent least-squares oracle: x = (J^T J)^{-1} J^T b."""
     return np.linalg.solve(J.T @ J, J.T @ b)
+
+
+def adamw_steps(params: dict, grads: list, lr: float, weight_decay: float,
+                decayed) -> dict:
+    """AdamW in plain numpy: one update per gradient map in ``grads``.
+
+    Adam's moments with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 (Kingma
+    & Ba, 2015), bias-corrected; weight decay decoupled from them and
+    applied to the names in ``decayed`` only (Loshchilov & Hutter, 2019).
+    The arithmetic follows the library's operation order, so the result
+    agrees bitwise.
+    """
+    p = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    m = {k: np.zeros_like(v) for k, v in p.items()}
+    v = {k: np.zeros_like(x) for k, x in p.items()}
+    for t, g in enumerate(grads, start=1):
+        for k in p:
+            m[k] = m[k] * 0.9 + (1.0 - 0.9) * g[k]
+            v[k] = v[k] * 0.999 + (1.0 - 0.999) * (g[k] * g[k])
+            m_hat = m[k] / (1.0 - 0.9**t)
+            v_hat = v[k] / (1.0 - 0.999**t)
+            new = p[k] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if weight_decay and k in decayed:
+                new = new - lr * weight_decay * p[k]
+            p[k] = new
+    return p
 
 
 def expm(A: np.ndarray) -> np.ndarray:

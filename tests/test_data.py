@@ -318,10 +318,9 @@ class TestContainer:
         with pytest.raises(FormatError, match="hi > lo|coord_hi must exceed"):
             load(path)
 
-    @pytest.mark.parametrize("key,value", [("decay_rate", 0.0), ("beta1", 1.0),
-                                           ("beta2", 1.0), ("eps", 0.0),
+    @pytest.mark.parametrize("key,value", [("decay_rate", 0.0),
                                            ("weight_decay", -1e-4), ("lr0", float("nan")),
-                                           ("lr0", float("inf")), ("eps", float("nan")),
+                                           ("lr0", float("inf")),
                                            ("weight_decay", float("nan"))])
     def test_out_of_range_optimizer_value_raises_format_error(self, tmp_path, key, value):
         path, load = saved_container(tmp_path, "model")
@@ -359,11 +358,15 @@ class TestContainer:
             load(path)
 
     def test_older_format_version_raises_format_error(self, tmp_path):
-        path = saved(tmp_path, small_dataset())
-        blob = path.read_bytes()
-        path.write_bytes(blob[:8] + np.uint32(1).tobytes() + blob[12:])
-        with pytest.raises(FormatError, match="unsupported format version 1; expected 2"):
-            data.load_dataset(path)
+        for kind in ("dataset", "model"):
+            path, load = saved_container(tmp_path, kind)
+            blob = path.read_bytes()
+            assert blob[8:12] == np.uint32(3).tobytes()
+            for version in (1, 2):
+                path.write_bytes(blob[:8] + np.uint32(version).tobytes() + blob[12:])
+                with pytest.raises(FormatError, match=f"unsupported format version "
+                                                      f"{version}; expected 3"):
+                    load(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):
         path = saved(tmp_path, small_dataset())
