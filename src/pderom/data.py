@@ -19,7 +19,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -227,13 +227,7 @@ def subsample_grid(dataset: Dataset, fraction: float, seed: int):
     if size < 1:
         raise ValueError(f"fraction {fraction} keeps no grid points")
     indices = np.random.default_rng(seed).choice(n, size=size, replace=False)
-    restricted = Dataset(
-        spec=dataset.spec, snapshot_dt=dataset.snapshot_dt,
-        t_train=dataset.t_train, t_test=dataset.t_test, seed=dataset.seed,
-        train=dataset.train, test=dataset.test, val=dataset.val,
-        obs_indices=indices,
-    )
-    return restricted, indices
+    return replace(dataset, obs_indices=indices), indices
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .tape import (
     add,
     as_tensor,
     backward,
-    broadcast_to,
     concat,
     constant,
     cos,
@@ -78,7 +77,6 @@ __all__ = [
     "reshape",
     "transpose",
     "concat",
-    "broadcast_to",
     "sine_affine",
     "sin_shift",
     "take_rows",

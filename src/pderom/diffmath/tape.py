@@ -120,9 +120,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.op!r})"
 
@@ -531,13 +528,6 @@ def pad_zero(a, pad_width) -> Tensor:
         return (g[key],)
 
     return _make(out, (a,), vjp, "pad_zero")
-
-
-def broadcast_to(a, shape) -> Tensor:
-    """Broadcast to ``shape``; the adjoint sums over the expanded axes."""
-    a = as_tensor(a)
-    out = np.broadcast_to(a.data, shape)
-    return _make(out, (a,), lambda g: (_unbroadcast(g, a.data.shape),), "broadcast_to")
 
 
 def sine_affine(z, W, b, scale: float, row_stable: bool = False) -> Tensor:

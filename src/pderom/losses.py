@@ -106,7 +106,7 @@ def latent_rnmse(pred, target) -> Tensor:
             f"target latent rate has near-zero norm (min {denom_val.min():.3e})"
         )
     num = dm.norm2(dm.sub(pred, target), axis=-1)
-    return dm.div(num, stop_gradient(constant(denom_val)))
+    return dm.div(num, constant(denom_val))
 
 
 def _batched_jacobian_siren(config, params, alpha_b: Tensor, coords_b: np.ndarray) -> Tensor:

@@ -59,7 +59,6 @@ __all__ = [
     "decode",
     "grid_decoder",
     "affine_decomposition",
-    "hyper_layer",
     "dynamics_eval",
 ]
 
@@ -128,10 +127,6 @@ class DynamicsConfig:
             raise ValueError("param_dim must be >= 0")
 
 
-def _uniform(rng, lo, hi, shape):
-    return rng.uniform(lo, hi, size=shape)
-
-
 def init_decoder(config: DecoderConfig, seed: int) -> dict[str, Tensor]:
     """Deterministic parameter initialization for a decoder."""
     rng = np.random.default_rng(seed)
@@ -140,30 +135,30 @@ def init_decoder(config: DecoderConfig, seed: int) -> dict[str, Tensor]:
     if config.architecture == "siren":
         fan = d + k
         # first layer uses the 1/fan_in bound, later layers sqrt(6/fan)/omega0
-        params["l0.W"] = _uniform(rng, -1.0 / fan, 1.0 / fan, (fan, w))
-        params["l0.b"] = _uniform(rng, -1.0 / np.sqrt(fan), 1.0 / np.sqrt(fan), (w,))
+        params["l0.W"] = rng.uniform(-1.0 / fan, 1.0 / fan, size=(fan, w))
+        params["l0.b"] = rng.uniform(-1.0 / np.sqrt(fan), 1.0 / np.sqrt(fan), size=(w,))
         for i in range(1, config.layers):
             bound = np.sqrt(6.0 / w) / config.omega0
-            params[f"l{i}.W"] = _uniform(rng, -bound, bound, (w, w))
-            params[f"l{i}.b"] = _uniform(rng, -1.0 / np.sqrt(w), 1.0 / np.sqrt(w), (w,))
+            params[f"l{i}.W"] = rng.uniform(-bound, bound, size=(w, w))
+            params[f"l{i}.b"] = rng.uniform(-1.0 / np.sqrt(w), 1.0 / np.sqrt(w), size=(w,))
         # plain linear head: the sine-layer bound would shrink outputs by omega0
         bound = np.sqrt(6.0 / w)
-        params["out.W"] = _uniform(rng, -bound, bound, (w, m))
-        params["out.b"] = _uniform(rng, -1.0 / np.sqrt(w), 1.0 / np.sqrt(w), (m,))
+        params["out.W"] = rng.uniform(-bound, bound, size=(w, m))
+        params["out.b"] = rng.uniform(-1.0 / np.sqrt(w), 1.0 / np.sqrt(w), size=(m,))
     else:
         half = w // 2
         fan = d
         for i in range(config.layers):
             b = 1.0 / np.sqrt(fan)
-            params[f"l{i}.W"] = _uniform(rng, -b, b, (fan, w))
-            params[f"l{i}.b"] = _uniform(rng, -b, b, (w,))
-            params[f"l{i}.Wm"] = _uniform(rng, -1.0 / np.sqrt(k), 1.0 / np.sqrt(k), (k, w))
+            params[f"l{i}.W"] = rng.uniform(-b, b, size=(fan, w))
+            params[f"l{i}.b"] = rng.uniform(-b, b, size=(w,))
+            params[f"l{i}.Wm"] = rng.uniform(-1.0 / np.sqrt(k), 1.0 / np.sqrt(k), size=(k, w))
             params[f"l{i}.freq"] = rng.standard_normal((half, d)) * (30.0 / d)
             fan = w
         b = 1.0 / np.sqrt(w)
-        params["out.W"] = _uniform(rng, -b, b, (w, m))
-        params["out.b"] = _uniform(rng, -b, b, (m,))
-        params["out.Wm"] = _uniform(rng, -1.0 / np.sqrt(k), 1.0 / np.sqrt(k), (k, m))
+        params["out.W"] = rng.uniform(-b, b, size=(w, m))
+        params["out.b"] = rng.uniform(-b, b, size=(m,))
+        params["out.Wm"] = rng.uniform(-1.0 / np.sqrt(k), 1.0 / np.sqrt(k), size=(k, m))
     return {name: Tensor(v) for name, v in params.items()}
 
 
@@ -174,45 +169,18 @@ def init_dynamics(config: DynamicsConfig, seed: int) -> dict[str, Tensor]:
     fan = k + (k if config.param_dim else 0)  # beta projects to width k
     if config.param_dim:
         b = 1.0 / np.sqrt(config.param_dim)
-        params["beta.W"] = _uniform(rng, -b, b, (config.param_dim, k))
-        params["beta.b"] = _uniform(rng, -b, b, (k,))
+        params["beta.W"] = rng.uniform(-b, b, size=(config.param_dim, k))
+        params["beta.b"] = rng.uniform(-b, b, size=(k,))
     for i in range(config.layers):
         b = 1.0 / np.sqrt(fan)
-        params[f"l{i}.W"] = _uniform(rng, -b, b, (fan, config.width))
-        params[f"l{i}.b"] = _uniform(rng, -b, b, (config.width,))
+        params[f"l{i}.W"] = rng.uniform(-b, b, size=(fan, config.width))
+        params[f"l{i}.b"] = rng.uniform(-b, b, size=(config.width,))
         params[f"l{i}.omega"] = np.array(1.0)
         fan = config.width
     b = 1.0 / np.sqrt(fan)
-    params["out.W"] = _uniform(rng, -b, b, (fan, k))
-    params["out.b"] = _uniform(rng, -b, b, (k,))
+    params["out.W"] = rng.uniform(-b, b, size=(fan, k))
+    params["out.b"] = rng.uniform(-b, b, size=(k,))
     return {name: Tensor(v) for name, v in params.items()}
-
-
-def hyper_layer(z, x_trig, layer: dict, alpha, final: bool = False,
-                rs: bool = True):
-    """One trig-modulated layer: ``(W z + b + Wm alpha) * [cos, sin]``.
-
-    ``x_trig`` is the precomputed modulation vector ``[cos(freq x),
-    sin(freq x)]`` for this layer (ignored when ``final``, where the
-    layer reduces to the affine part).  The code enters only through the
-    bias shift ``Wm alpha``.
-    """
-    shape = alpha.shape
-    mu = dm.matmul(dm.reshape(alpha, (*shape[:-1], 1, shape[-1])), layer["Wm"], rs)
-    pre = dm.add(dm.add(dm.matmul(z, layer["W"], rs), layer["b"]), mu)
-    if final:
-        return pre
-    return dm.mul(pre, x_trig)
-
-
-def _layer(params: dict, name: str) -> dict:
-    return {key: params[f"{name}.{key}"] for key in ("W", "b", "Wm")}
-
-
-def _hyper_trig(params, xn_t: Tensor, i: int, rs: bool) -> Tensor:
-    freq = params[f"l{i}.freq"]
-    phase = dm.matmul(xn_t, dm.transpose(freq), rs)
-    return dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1)
 
 
 def _normalized_coords(config: DecoderConfig, X) -> np.ndarray:
@@ -342,13 +310,25 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
 
 def _hyper_value(config: DecoderConfig, params: dict, alpha: Tensor,
                  xn: np.ndarray, rs: bool):
-    """The hyper field on normalized coordinates, and each layer's trig."""
+    """The hyper field on normalized coordinates, and each layer's trig.
+
+    Every layer computes ``z W + b + alpha Wm``: the code enters only
+    through the bias shift ``alpha Wm``.  Hidden layers then multiply by
+    their modulation ``[cos(xn freq^T), sin(xn freq^T)]``; the head
+    ``out`` stops at the affine part.
+    """
     xn_t = constant(xn)
+    shape = alpha.shape
+    a_row = dm.reshape(alpha, (*shape[:-1], 1, shape[-1]))
     z, trigs = xn_t, []
-    for i in range(config.layers):
-        trigs.append(_hyper_trig(params, xn_t, i, rs))
-        z = hyper_layer(z, trigs[-1], _layer(params, f"l{i}"), alpha, rs=rs)
-    return hyper_layer(z, None, _layer(params, "out"), alpha, final=True, rs=rs), trigs
+    for name in [f"l{i}" for i in range(config.layers)] + ["out"]:
+        z = dm.add(dm.add(dm.matmul(z, params[f"{name}.W"], rs), params[f"{name}.b"]),
+                   dm.matmul(a_row, params[f"{name}.Wm"], rs))
+        if name != "out":
+            phase = dm.matmul(xn_t, dm.transpose(params[f"{name}.freq"]), rs)
+            trigs.append(dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1))
+            z = dm.mul(z, trigs[-1])
+    return z, trigs
 
 
 def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
@@ -443,26 +423,22 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
     return dm.reshape(out.tangent, (k, nm)), dm.reshape(out.value, (nm,))
 
 
-def _swish(x, omega):
-    gate = dm.sigmoid(dm.mul(x, dm.softplus(omega)))
-    return dm.mul(x, gate)
-
-
 def dynamics_eval(config: DynamicsConfig, params: dict, alpha, beta=None) -> Tensor:
     """Latent rate prediction d(alpha)/dt; autonomous (no time input).
 
     ``alpha``: (k,) or (B, k).  ``beta`` must be supplied exactly when
-    the config is parameterized, shaped (p,) or (B, p).
+    the config is parameterized, with one row per code: (p,) for one
+    code, (B, p) for a batch of B codes.  Each hidden layer applies the
+    parameterized Swish ``x * sigmoid(x * softplus(omega))``.
     """
     if (beta is None) == bool(config.param_dim):
         raise ValueError(
             "beta required for parameterized dynamics and forbidden otherwise"
         )
-    a = dm.as_tensor(alpha)
-    single = a.ndim == 1
+    z = dm.as_tensor(alpha)
+    single = z.ndim == 1
     if single:
-        a = dm.reshape(a, (1, -1))
-    z = a
+        z = dm.reshape(z, (1, -1))
     if config.param_dim:
         b = dm.as_tensor(beta)
         if b.ndim == 1:
@@ -471,12 +447,13 @@ def dynamics_eval(config: DynamicsConfig, params: dict, alpha, beta=None) -> Ten
             raise ValueError(
                 f"beta has dimension {b.shape[-1]}, expected {config.param_dim}"
             )
+        if b.shape[0] != z.shape[0]:
+            raise ValueError(f"beta has {b.shape[0]} rows for {z.shape[0]} codes; "
+                             "it needs one row per code")
         bstar = dm.add(dm.matmul(b, params["beta.W"]), params["beta.b"])
-        if bstar.shape[0] != z.shape[0]:
-            bstar = dm.broadcast_to(bstar, (z.shape[0], bstar.shape[1]))
         z = dm.concat([z, bstar], axis=-1)
     for i in range(config.layers):
         lin = dm.add(dm.matmul(z, params[f"l{i}.W"]), params[f"l{i}.b"])
-        z = _swish(lin, params[f"l{i}.omega"])
+        z = dm.mul(lin, dm.sigmoid(dm.mul(lin, dm.softplus(params[f"l{i}.omega"]))))
     out = dm.add(dm.matmul(z, params["out.W"]), params["out.b"])
     return dm.reshape(out, (-1,)) if single else out

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from pderom import diffmath as dm
-from pderom.networks import hyper_layer
 from pderom.solvers import time_derivative
 
 
@@ -97,8 +96,10 @@ def siren_tangents_forward(config, params, alpha, T, X, fast=False):
 def hyper_tangents_forward(config, params, alpha, T, X, fast=False):
     """Hyper field and code tangents in forward mode, one copy per tangent.
 
-    The reference for ``decode`` of a ``DualBatch(alpha, T)``: the value
-    runs the same ops as the library, and the code enters every layer
+    The reference for ``decode`` of a ``DualBatch(alpha, T)``.  The value
+    restates the library's ops in its order, without running its code:
+    each layer is ``z W + b + alpha Wm``, and hidden layers multiply it by
+    ``[cos(xn freq^T), sin(xn freq^T)]``.  The code enters every layer
     through a (K, ..., 1, width) term ``T @ Wm`` of its bias shift, so a
     layer maps ``dz -> (dz @ W + T @ Wm) * trig`` and the head adds
     ``T @ out.Wm``.  Shapes as in :func:`siren_tangents_forward`.
@@ -106,20 +107,21 @@ def hyper_tangents_forward(config, params, alpha, T, X, fast=False):
     a, T = dm.as_tensor(alpha), dm.as_tensor(T)
     shape = a.shape
     rs = not fast
+    a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
     T = dm.reshape(T, (T.shape[0], *shape[:-1], 1, shape[-1]))
     xn_t = dm.constant(config.normalize(X))
     z, dz = xn_t, None
     for i in range(config.layers):
-        layer = {key: params[f"l{i}.{key}"] for key in ("W", "b", "Wm")}
+        W, b, Wm = (params[f"l{i}.{key}"] for key in ("W", "b", "Wm"))
         phase = dm.matmul(xn_t, dm.transpose(params[f"l{i}.freq"]), rs)
         trig = dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1)
-        shift = dm.matmul(T, layer["Wm"], rs)
-        dpre = shift if dz is None else dm.add(dm.matmul(dz, layer["W"], rs), shift)
-        z = hyper_layer(z, trig, layer, a, rs=rs)
+        shift = dm.matmul(T, Wm, rs)
+        dpre = shift if dz is None else dm.add(dm.matmul(dz, W, rs), shift)
+        z = dm.mul(dm.add(dm.add(dm.matmul(z, W, rs), b), dm.matmul(a_row, Wm, rs)), trig)
         dz = dm.mul(dpre, trig)
-    out = {key: params[f"out.{key}"] for key in ("W", "b", "Wm")}
-    u = hyper_layer(z, None, out, a, final=True, rs=rs)
-    return u, dm.add(dm.matmul(dz, out["W"], rs), dm.matmul(T, out["Wm"], rs))
+    W, b, Wm = (params[f"out.{key}"] for key in ("W", "b", "Wm"))
+    u = dm.add(dm.add(dm.matmul(z, W, rs), b), dm.matmul(a_row, Wm, rs))
+    return u, dm.add(dm.matmul(dz, W, rs), dm.matmul(T, Wm, rs))
 
 
 def projected_affine_rom(spec, A: np.ndarray, c: np.ndarray):

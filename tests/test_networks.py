@@ -540,6 +540,15 @@ class TestDynamics:
         with pytest.raises(ValueError, match="beta"):
             dynamics_eval(cond, init_dynamics(cond, 0), constant(np.zeros(2)))
 
+    @pytest.mark.parametrize("codes,betas", [((4, 2), (1,)), ((4, 2), (3, 1)),
+                                             ((2,), (3, 1))])
+    def test_beta_needs_one_row_per_code(self, codes, betas):
+        config = DynamicsConfig(latent_dim=2, layers=1, width=4, param_dim=1)
+        rows = (codes[0] if len(codes) == 2 else 1, betas[0] if len(betas) == 2 else 1)
+        with pytest.raises(ValueError, match=rf"beta has {rows[1]} rows for {rows[0]} codes"):
+            dynamics_eval(config, init_dynamics(config, 0), constant(np.zeros(codes)),
+                          constant(np.zeros(betas)))
+
     def test_deterministic_and_time_free(self):
         config = DynamicsConfig(latent_dim=3, layers=2, width=8)
         params = init_dynamics(config, seed=1)
