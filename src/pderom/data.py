@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .networks import DecoderConfig, DynamicsConfig
+from .networks import DecoderConfig, DynamicsConfig, init_decoder, init_dynamics
 from .solvers import Grid, SolverError, SolverSpec, _is_integer, rollout
 from .training import Model, TrainingConfig
 
@@ -402,15 +402,46 @@ def _spec(d: dict) -> SolverSpec:
     return _config(SolverSpec, {**d, "grid": _config(Grid, d["grid"])})
 
 
+def _check_params(group: str, params: dict, want: dict) -> None:
+    """Raise :class:`FormatError` unless ``params`` has the names and
+    shapes of the freshly initialized ``want``."""
+    if params.keys() != want.keys():
+        raise FormatError(f"{group} parameters: missing {sorted(want.keys() - params.keys())}, "
+                          f"unknown {sorted(params.keys() - want.keys())}")
+    for name, p in want.items():
+        if params[name].shape != p.shape:
+            raise FormatError(f"{group} parameter {name!r} has shape "
+                              f"{params[name].shape}, expected {p.shape}")
+
+
 def load_model(path) -> Model:
+    """A model saved by :func:`save_model`.
+
+    Besides the container checks, the parameter names and shapes must
+    be those its decoder and dynamics configs initialize, and the
+    latents' last axis and both configs must share one latent_dim;
+    anything else raises :class:`FormatError`.
+    """
     header, arrays = _read_container(path, "model")
     with _malformed("model"):
+        dec = _config(DecoderConfig, header["decoder_config"])
+        dyn = _config(DynamicsConfig, header["dynamics_config"])
+        dec_params = {k[4:]: v for k, v in arrays.items() if k.startswith("dec.")}
+        dyn_params = {k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")}
+        _check_params("decoder", dec_params, init_decoder(dec, 0))
+        _check_params("dynamics", dyn_params, init_dynamics(dyn, 0))
+        latents = arrays["latents"]
+        dims = (latents.shape[-1:], (dec.latent_dim,), (dyn.latent_dim,))
+        if len(set(dims)) != 1:
+            raise FormatError(f"latents of shape {latents.shape}, decoder latent_dim "
+                              f"{dec.latent_dim} and dynamics latent_dim {dyn.latent_dim} "
+                              "must agree")
         return Model(
-            decoder_config=_config(DecoderConfig, header["decoder_config"]),
-            decoder_params={k[4:]: v for k, v in arrays.items() if k.startswith("dec.")},
-            dynamics_config=_config(DynamicsConfig, header["dynamics_config"]),
-            dynamics_params={k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")},
-            latents=arrays["latents"],
+            decoder_config=dec,
+            decoder_params=dec_params,
+            dynamics_config=dyn,
+            dynamics_params=dyn_params,
+            latents=latents,
             spec=_spec(header["spec"]),
             snapshot_dt=header["snapshot_dt"],
             training_config=_config(TrainingConfig, header["training_config"]),

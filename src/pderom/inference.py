@@ -58,8 +58,8 @@ class IntegratorConfig:
     atol: float = 1e-6
 
     def __post_init__(self):
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 class IntegrationError(Exception):
@@ -202,7 +202,8 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
             + _BS_B_ERR[2] * k3 + _BS_B_ERR[3] * k4
         )
         scale = integrator.atol + integrator.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # clamped like err_prev: a zero estimate has no negative power
+        err = max(float(np.sqrt(np.mean((err_vec / scale) ** 2))), 1e-10)
 
         if err <= 1.0:
             t_new = t + dt
@@ -219,7 +220,7 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
                 return out
             t, y, k1 = t_new, y_new, k4
             factor = _SAFETY * err ** (-0.7 / order) * err_prev ** (0.4 / order)
-            err_prev = max(err, 1e-10)
+            err_prev = err
         else:
             factor = _SAFETY * err ** (-1.0 / order)
         dt *= min(max(factor, _MIN_FACTOR), _MAX_FACTOR)

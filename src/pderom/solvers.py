@@ -183,13 +183,13 @@ def diffusion_step(u, kappa: float, dt: float, grid: Grid) -> Tensor:
     uz = dm.pad_zero(ui, ring)
     lap = dm.add(
         dm.mul(
-            dm.add(dm.slice_(uz, lead + (slice(0, -2), inner)),
-                   dm.slice_(uz, lead + (slice(2, None), inner))) - dm.mul(ui, 2.0),
+            dm.sub(dm.add(dm.slice_(uz, lead + (slice(0, -2), inner)),
+                          dm.slice_(uz, lead + (slice(2, None), inner))), dm.mul(ui, 2.0)),
             1.0 / (hy * hy),
         ),
         dm.mul(
-            dm.add(dm.slice_(uz, lead + (inner, slice(0, -2))),
-                   dm.slice_(uz, lead + (inner, slice(2, None)))) - dm.mul(ui, 2.0),
+            dm.sub(dm.add(dm.slice_(uz, lead + (inner, slice(0, -2))),
+                          dm.slice_(uz, lead + (inner, slice(2, None)))), dm.mul(ui, 2.0)),
             1.0 / (hx * hx),
         ),
     )
@@ -278,6 +278,9 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
     ending in ``(step N)``; a CFL violation also names the offending
     batch rows (``CFLError.rows``).
     """
+    if not (_is_integer(n_steps) and _is_integer(save_every)):
+        raise ValueError(f"n_steps and save_every must be integers, "
+                         f"got {n_steps!r} and {save_every!r}")
     if n_steps < 0 or save_every < 1:
         raise ValueError("need n_steps >= 0 and save_every >= 1")
     u0 = np.array(u0, dtype=np.float64)

@@ -186,6 +186,9 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     A :class:`NonFiniteError` names the epoch and the batch's rows of the
     snapshot table (row ``trajectory * (t_train + 1) + time``).
     """
+    if decoder_config.latent_dim != dynamics_config.latent_dim:
+        raise ValueError(f"decoder latent_dim = {decoder_config.latent_dim}, but dynamics "
+                         f"latent_dim = {dynamics_config.latent_dim}")
     spec: SolverSpec = dataset.spec
     trajs = dataset.train
     if not trajs:

@@ -248,6 +248,42 @@ class TestContainer:
         data.save_model(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("group,name,change", [
+        ("decoder_params", "l0.W", "missing"), ("dynamics_params", "out.b", "missing"),
+        ("decoder_params", "l9.W", "extra"), ("dynamics_params", "l0.gain", "extra"),
+        ("decoder_params", "out.W", "shape"), ("dynamics_params", "beta.W", "shape"),
+    ])
+    def test_parameters_must_match_the_configs(self, tmp_path, group, name, change):
+        model = small_model()
+        params = getattr(model, group)
+        if change == "missing":
+            del params[name]
+        elif change == "extra":
+            params[name] = np.zeros(2)
+        else:
+            params[name] = np.zeros((params[name].shape[0], params[name].shape[1] + 1))
+        path = tmp_path / "m.pdrm"
+        data.save_model(model, path)
+        word = group.split("_")[0]
+        what = {"missing": rf"{word} parameters: missing \['{name}'\]",
+                "extra": rf"{word} parameters: missing \[\], unknown",
+                "shape": rf"{word} parameter '{name}' has shape"}[change]
+        with pytest.raises(FormatError, match=what):
+            data.load_model(path)
+
+    @pytest.mark.parametrize("latents_k,dyn_k", [(3, 2), (2, 3)])
+    def test_latent_dims_must_agree(self, tmp_path, latents_k, dyn_k):
+        model = small_model()
+        model.latents = np.zeros((2, 3, latents_k))
+        model.dynamics_config = DynamicsConfig(dyn_k, 1, 4, param_dim=1)
+        model.dynamics_params = {k: v.data for k, v in
+                                 init_dynamics(model.dynamics_config, 0).items()}
+        path = tmp_path / "m.pdrm"
+        data.save_model(model, path)
+        with pytest.raises(FormatError, match=r"latents of shape \(2, 3, \d\), decoder "
+                                              r"latent_dim 2 and dynamics latent_dim \d"):
+            data.load_model(path)
+
     def test_every_truncation_raises_format_error(self, tmp_path):
         blob = saved(tmp_path, small_dataset()).read_bytes()
         bad = tmp_path / "bad.pdrm"

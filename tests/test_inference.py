@@ -53,6 +53,12 @@ def test_integrator_config_rejects_non_positive_tolerances(tol):
         IntegratorConfig(**tol)
 
 
+@pytest.mark.parametrize("tol", [{"rtol": np.inf}, {"atol": np.inf}])
+def test_integrator_config_rejects_infinite_tolerances(tol):
+    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
+        IntegratorConfig(**tol)
+
+
 @pytest.mark.parametrize("arch", ["hyper", "siren"])
 def test_invert_recovers_a_known_code(arch):
     config = DecoderConfig(arch, latent_dim=3, layers=2, width=16, coord_dim=2,
@@ -121,6 +127,16 @@ def test_integrate_from_a_target_at_t0_steps_to_the_next_target():
     whole = integrate(config, params, alpha0, times[0], times)
     rest = integrate(config, params, alpha0, times[0], times[1:])
     assert whole.tobytes() == np.vstack([alpha0, rest]).tobytes()
+
+
+def test_zero_network_integrates_to_constant_codes():
+    # every rate is exactly zero, so is every error estimate
+    config = DynamicsConfig(latent_dim=3, layers=2, width=6)
+    params = {k: np.zeros_like(v.data) for k, v in init_dynamics(config, seed=5).items()}
+    alpha0 = np.array([0.4, -0.2, 0.9])
+    times = np.linspace(0.0, 10.0, 11)
+    got = integrate(config, params, alpha0, 0.0, times)
+    np.testing.assert_allclose(got, np.tile(alpha0, (len(times), 1)), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("alpha0", [np.zeros(5), np.zeros((2, 3)), np.zeros(())],

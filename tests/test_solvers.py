@@ -110,6 +110,15 @@ class TestDiffusionStep:
         b = diffusion_step(constant(junk), 2.0, 0.1, DIFF_GRID).data
         assert a.tobytes() == b.tobytes()
 
+    def test_subtracts_through_the_module_op(self, monkeypatch):
+        # the traced benchmark counts dm.sub; the Tensor operator would bypass it
+        calls = []
+        sub = dm.sub
+        monkeypatch.setattr(dm, "sub", lambda a, b: calls.append(1) or sub(a, b))
+        u = constant(np.random.default_rng(11).normal(size=(2, *DIFF_GRID.shape)))
+        rollout(DIFF_SPEC, u.data, n_steps=3)
+        assert len(calls) == 2 * 3
+
     def test_stability_enforced_at_construction(self):
         with pytest.raises(StabilityError):
             SolverSpec("diffusion2d", DIFF_GRID, dt=0.2, params={"kappa": 2.0})
@@ -293,6 +302,12 @@ class TestRollout:
                 pytest.raises(dm.NonFiniteError, match=r"\(step 1\)$") as err:
             rollout(DIFF_SPEC, u0, n_steps=3)
         assert err.value.op in ("add", "sub", "mul")
+
+    @pytest.mark.parametrize("n_steps,save_every", [(2.0, 1), (2, 1.0), (True, 1),
+                                                    (np.float64(3), 1)])
+    def test_counts_must_be_integers(self, n_steps, save_every):
+        with pytest.raises(ValueError, match="n_steps and save_every must be integers"):
+            rollout(DIFF_SPEC, np.zeros(DIFF_GRID.shape), n_steps, save_every)
 
     def test_batched_rows_equal_separate_rollouts(self):
         u0 = np.stack([gaussian_blob(DIFF_GRID, s, a) for s, a in ((3.0, 1.0), (5.0, 2.0))])

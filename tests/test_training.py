@@ -115,6 +115,13 @@ def test_param_dim_must_match_dataset_beta(tiny, param_dim, beta):
         train(ds, DEC, dyn, TrainingConfig(epochs=1, warmup_epochs=0))
 
 
+def test_latent_dims_must_agree_before_the_first_batch(tiny, monkeypatch):
+    monkeypatch.setattr("pderom.training.batch_terms", None)  # no batch may run
+    dyn = DynamicsConfig(latent_dim=4, layers=1, width=8)
+    with pytest.raises(ValueError, match="decoder latent_dim = 3, but dynamics latent_dim = 4"):
+        train(tiny, DEC, dyn, TrainingConfig(epochs=1, warmup_epochs=0))
+
+
 def test_gamma_must_keep_k_grid_points(tiny):
     cfg = TrainingConfig(epochs=1, warmup_epochs=0, gamma=1e-3)  # 1 of 1764 points
     with pytest.raises(ValueError, match="keeps 1 grid points, fewer than k = 3"):
