@@ -159,10 +159,11 @@ class Model:
 
 
 def _prefixed(dec: dict, dyn: dict, latents: np.ndarray) -> dict:
-    joint = {f"dec.{k}": v for k, v in dec.items()}
-    joint.update({f"dyn.{k}": v for k, v in dyn.items()})
-    joint["latents"] = Tensor(latents, requires_grad=True)
-    return joint
+    """Both networks' parameters and the latent table as trainable leaves."""
+    joint = {f"dec.{k}": v.data for k, v in dec.items()}
+    joint.update({f"dyn.{k}": v.data for k, v in dyn.items()})
+    joint["latents"] = latents
+    return {k: Tensor(v, requires_grad=True) for k, v in joint.items()}
 
 
 def _split(joint: dict):

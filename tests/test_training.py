@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from pderom import data
+from pderom import data, training
 from pderom.diffmath import NonFiniteError, Tensor
 from pderom.networks import DecoderConfig, DynamicsConfig
 from pderom.training import TrainingConfig, adamw_init, adamw_step, decays_weight, lr_at, train
@@ -120,6 +120,23 @@ def test_latent_dims_must_agree_before_the_first_batch(tiny, monkeypatch):
     dyn = DynamicsConfig(latent_dim=4, layers=1, width=8)
     with pytest.raises(ValueError, match="decoder latent_dim = 3, but dynamics latent_dim = 4"):
         train(tiny, DEC, dyn, TrainingConfig(epochs=1, warmup_epochs=0))
+
+
+@pytest.mark.parametrize("arch", ["hyper", "siren"])
+def test_first_step_trains_every_parameter(tiny, monkeypatch, arch):
+    grads = []
+    step = training.adamw_step
+    monkeypatch.setattr(training, "adamw_step",
+                        lambda params, g, *a: grads.append(g) or step(params, g, *a))
+    dec = DecoderConfig(arch, latent_dim=3, layers=2, width=8, coord_dim=2,
+                        coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
+    train(tiny, dec, DYN, TrainingConfig(epochs=1, warmup_epochs=0, batch_size=32))
+    assert len(grads) == 1  # 26 snapshots make one batch
+    networks = [name for name in grads[0] if name != "latents"]
+    assert {name[:4] for name in networks} == {"dec.", "dyn."}
+    # the latent table starts at zero, so the dynamics network's first layer
+    # sees zero input and its weight gradient (input^T times cotangent) is zero
+    assert [name for name in networks if not grads[0][name].any()] == ["dyn.l0.W"]
 
 
 def test_gamma_must_keep_k_grid_points(tiny):
