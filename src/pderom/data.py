@@ -431,8 +431,7 @@ def load_model(path) -> Model:
         _check_params("decoder", dec_params, init_decoder(dec, 0))
         _check_params("dynamics", dyn_params, init_dynamics(dyn, 0))
         latents = arrays["latents"]
-        dims = (latents.shape[-1:], (dec.latent_dim,), (dyn.latent_dim,))
-        if len(set(dims)) != 1:
+        if not latents.shape[-1:] == (dec.latent_dim,) == (dyn.latent_dim,):
             raise FormatError(f"latents of shape {latents.shape}, decoder latent_dim "
                               f"{dec.latent_dim} and dynamics latent_dim {dyn.latent_dim} "
                               "must agree")

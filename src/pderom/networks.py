@@ -43,7 +43,7 @@ outside the bounds simply extrapolate the continuous field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
