@@ -31,6 +31,13 @@ sin_shift                       sin(p + q) from sin p, cos p and q by angle
 stop_gradient                   identity value, zero derivative
 ==============================  =============================================
 
+The decoders take the sine and the cosine of the same tensor, and the
+adjoint of each is the other (negated for ``cos``).  So when ``sin(a)``
+or ``cos(a)`` records an adjoint it keeps its value on ``a`` (see
+:class:`Tensor`), and the adjoint of the other reads it there instead
+of evaluating a transcendental again.  The gradients are bitwise those
+of evaluating it again.
+
 All data is float64.  Every primitive checks its output for
 non-finite values and raises :class:`NonFiniteError` naming the
 operation, so a NaN produced deep inside a training step surfaces at
@@ -94,9 +101,23 @@ class Tensor:
     at least one input requires them; constants stay out of the graph.
     Tensors are immutable by convention: no operation writes to ``data``
     of an existing tensor.
+
+    ``trig`` maps ``"sin"``/``"cos"`` to the values :func:`sin` and
+    :func:`cos` computed from this tensor, for the adjoint of the other
+    one.  It is filled only when the op records an adjoint (gradients on
+    and this tensor requires them), so ``no_grad`` keeps nothing.  A kept
+    value is never stale, because ``data`` is never written.  It is the
+    op's own output, so keeping it costs no computation, and usually no
+    memory: the tape holds that output too.  The exception is an output
+    that nothing on the way to the loss reads, such as the value of a
+    dual decode whose caller keeps only the tangents.  The kept value
+    then lives as long as this tensor, in place of being computed again
+    in the other function's adjoint.  Each store writes a new map, so
+    graphs on other threads that share this tensor never see one half
+    written; their values are the same.
     """
 
-    __slots__ = ("data", "parents", "vjp", "op", "requires_grad")
+    __slots__ = ("data", "parents", "vjp", "op", "requires_grad", "trig")
 
     def __init__(
         self,
@@ -111,6 +132,7 @@ class Tensor:
         self.vjp = vjp
         self.op = op
         self.requires_grad = requires_grad or bool(parents)
+        self.trig = None
 
     @property
     def shape(self):
@@ -275,16 +297,33 @@ def sqrt(a) -> Tensor:
     return _make(out, (a,), lambda g: (g * (0.5 / out),), "sqrt")
 
 
+def _keep_trig(t: Tensor, a: Tensor, name: str) -> Tensor:
+    """Keep ``t``'s value as ``a``'s ``name`` if ``t`` is on the tape."""
+    if t.vjp is not None:
+        a.trig = {**(a.trig or {}), name: t.data}
+    return t
+
+
 def sin(a) -> Tensor:
     a = as_tensor(a)
     out = np.sin(a.data)
-    return _make(out, (a,), lambda g: (g * np.cos(a.data),), "sin")
+
+    def vjp(g):
+        c = (a.trig or {}).get("cos")
+        return (g * (np.cos(a.data) if c is None else c),)
+
+    return _keep_trig(_make(out, (a,), vjp, "sin"), a, "sin")
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
     out = np.cos(a.data)
-    return _make(out, (a,), lambda g: (g * -np.sin(a.data),), "cos")
+
+    def vjp(g):
+        s = (a.trig or {}).get("sin")
+        return (g * -(np.sin(a.data) if s is None else s),)
+
+    return _keep_trig(_make(out, (a,), vjp, "cos"), a, "cos")
 
 
 def sigmoid(a) -> Tensor:

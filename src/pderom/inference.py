@@ -21,6 +21,7 @@ from .losses import field_rnmse
 from .networks import (
     DecoderConfig,
     DynamicsConfig,
+    _check_beta,
     _check_counts,
     affine_decomposition,
     decode,
@@ -76,12 +77,21 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
     grid ``X``; batched fields are inverted independently (their losses
     do not interact).  Returns ``(codes, final_loss)`` where codes is
     (k,) or (B, k) and final_loss the per-field reconstruction error at
-    the returned codes.  A :class:`NonFiniteError` names the inversion
-    step it arose in.
+    the returned codes.  A NaN or infinity in ``u0`` raises
+    ``ValueError`` naming its position; a :class:`NonFiniteError`
+    names the inversion step it arose in.
     """
     u0 = np.asarray(u0, dtype=np.float64)
+    if u0.ndim not in (2, 3):
+        raise ValueError(f"u0 must have shape (N, m) or (B, N, m), got {u0.shape}")
     single = u0.ndim == 2
     batch = u0[None] if single else u0
+    bad = np.argwhere(~np.isfinite(batch))
+    if len(bad):
+        field, row, channel = bad[0]
+        where = f"row {row}, channel {channel}" + ("" if single else f" of field {field}")
+        raise ValueError(f"u0 has a non-finite value at {where}: "
+                         f"{batch[field, row, channel]}")
     b = batch.shape[0]
     k = config.latent_dim
 
@@ -240,7 +250,9 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     with the initial condition at ``times[0]``.  Decodes on
     ``query_grid`` (default: the solver grid) at every requested time.  ``beta`` must carry the PDE parameters for
     parameterized dynamics.  Returns (T, N_query, m).  ``times`` must be
-    finite and strictly increasing; that is checked before the inversion.
+    finite and strictly increasing, and ``beta`` given exactly when the
+    dynamics are parameterized, as (p,) or (1, p); both are checked
+    before the inversion.
 
     The final decode runs in exact (row-stable) mode.  A siren decodes
     the times in blocks sized so that each hidden layer's array holds
@@ -253,7 +265,9 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     if u0.shape != want:
         raise ValueError(f"u0 must have shape {want} (one field on X), got {u0.shape}")
     Xq = model.spec.grid.coords() if query_grid is None else np.asarray(query_grid)
-    times = _check_times(None, times)  # before the inversion, which takes longest
+    # before the inversion, which takes longest
+    times = _check_times(None, times)
+    _check_beta(model.dynamics_config, beta, 1)
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)
     codes = integrate(
         model.dynamics_config, model.dynamics_params, alpha0,

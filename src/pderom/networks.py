@@ -423,6 +423,27 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
     return dm.reshape(out.tangent, (k, nm)), dm.reshape(out.value, (nm,))
 
 
+def _check_beta(config: DynamicsConfig, beta, codes: int) -> None:
+    """Raise ``ValueError`` unless ``beta`` suits ``codes`` codes: given
+    exactly when the config is parameterized, as (p,) for one code or
+    (codes, p), with p the config's ``param_dim``."""
+    if (beta is None) == bool(config.param_dim):
+        raise ValueError(
+            "beta required for parameterized dynamics and forbidden otherwise"
+        )
+    if beta is None:
+        return
+    shape = dm.as_tensor(beta).shape
+    if len(shape) not in (1, 2):
+        raise ValueError(f"beta must have shape (p,) or (B, p), got {shape}")
+    if shape[-1] != config.param_dim:
+        raise ValueError(f"beta has dimension {shape[-1]}, expected {config.param_dim}")
+    rows = shape[0] if len(shape) == 2 else 1
+    if rows != codes:
+        raise ValueError(f"beta has {rows} rows for {codes} codes; "
+                         "it needs one row per code")
+
+
 def dynamics_eval(config: DynamicsConfig, params: dict, alpha, beta=None) -> Tensor:
     """Latent rate prediction d(alpha)/dt; autonomous (no time input).
 
@@ -431,25 +452,15 @@ def dynamics_eval(config: DynamicsConfig, params: dict, alpha, beta=None) -> Ten
     code, (B, p) for a batch of B codes.  Each hidden layer applies the
     parameterized Swish ``x * sigmoid(x * softplus(omega))``.
     """
-    if (beta is None) == bool(config.param_dim):
-        raise ValueError(
-            "beta required for parameterized dynamics and forbidden otherwise"
-        )
     z = dm.as_tensor(alpha)
     single = z.ndim == 1
     if single:
         z = dm.reshape(z, (1, -1))
+    _check_beta(config, beta, z.shape[0])
     if config.param_dim:
         b = dm.as_tensor(beta)
         if b.ndim == 1:
             b = dm.reshape(b, (1, -1))
-        if b.shape[-1] != config.param_dim:
-            raise ValueError(
-                f"beta has dimension {b.shape[-1]}, expected {config.param_dim}"
-            )
-        if b.shape[0] != z.shape[0]:
-            raise ValueError(f"beta has {b.shape[0]} rows for {z.shape[0]} codes; "
-                             "it needs one row per code")
         bstar = dm.add(dm.matmul(b, params["beta.W"]), params["beta.b"])
         z = dm.concat([z, bstar], axis=-1)
     for i in range(config.layers):

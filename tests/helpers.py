@@ -13,6 +13,7 @@ that build on it; :func:`parameter` and :func:`grad` are the tests'
 shorthand for differentiating a function of named leaves; and
 :func:`projected_affine_rom` applies the library's solver rate to the
 rows of an affine decoder map, then projects in plain numpy.
+:func:`spy_trig` counts the tape's sine and cosine evaluations.
 """
 
 from __future__ import annotations
@@ -20,7 +21,35 @@ from __future__ import annotations
 import numpy as np
 
 from pderom import diffmath as dm
+from pderom.diffmath import tape
 from pderom.solvers import time_derivative
+
+
+class _TrigSpy:
+    """numpy as the tape sees it, with every ``sin``/``cos`` argument kept."""
+
+    def __init__(self):
+        self.calls = {"sin": [], "cos": []}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sin(self, x, *args, **kwargs):
+        self.calls["sin"].append(x)
+        return np.sin(x, *args, **kwargs)
+
+    def cos(self, x, *args, **kwargs):
+        self.calls["cos"].append(x)
+        return np.cos(x, *args, **kwargs)
+
+
+def spy_trig(monkeypatch) -> dict:
+    """Record the array behind every ``np.sin`` and ``np.cos`` call that
+    :mod:`pderom.diffmath.tape` makes from now on.  Returns the lists
+    ``{"sin": [...], "cos": [...]}``; they fill as the tape runs."""
+    spy = _TrigSpy()
+    monkeypatch.setattr(tape, "np", spy)
+    return spy.calls
 
 
 def parameter(x) -> dm.Tensor:

@@ -8,7 +8,14 @@ import pytest
 from pderom import diffmath as dm
 from pderom.diffmath import DualBatch, qr_lstsq
 
-from helpers import fd_check_params, fd_gradient, grad, normal_equations_lstsq, parameter
+from helpers import (
+    fd_check_params,
+    fd_gradient,
+    grad,
+    normal_equations_lstsq,
+    parameter,
+    spy_trig,
+)
 
 
 class TestGrad:
@@ -269,6 +276,59 @@ class TestPrimitives:
         with dm.no_grad():
             y = dm.sum_(x * x)
         assert y.parents == () and not y.requires_grad
+
+
+class TestKeptTrig:
+    """``dm.sin``/``dm.cos`` of one tensor: each adjoint reads the other's value."""
+
+    @pytest.mark.parametrize("ops", [("sin",), ("cos",), ("sin", "cos"), ("cos", "sin")],
+                             ids="-".join)
+    def test_gradients_are_bitwise_those_of_fresh_trig(self, ops):
+        rng = np.random.default_rng(11)
+        xv = rng.uniform(-40.0, 40.0, size=(5, 7))
+        w = {op: rng.normal(size=xv.shape) for op in ops}
+        want = {"sin": w.get("sin", 0.0) * np.cos(xv), "cos": w.get("cos", 0.0) * -np.sin(xv)}
+        x = parameter(xv)
+        outs = {op: getattr(dm, op)(x) for op in ops}
+        for op, out in outs.items():
+            (got,) = out.vjp(w[op])
+            np.testing.assert_array_equal(got, want[op])
+        terms = [dm.sum_(dm.mul(out, w[op])) for op, out in outs.items()]
+        (g,) = dm.backward(sum(terms[1:], terms[0]), [x])
+        # two addends: their sum does not depend on the accumulation order
+        np.testing.assert_array_equal(g, sum(want[op] for op in ops))
+
+    def test_sine_and_cosine_of_one_tensor_run_once_each(self, monkeypatch):
+        calls = spy_trig(monkeypatch)
+        x = parameter(np.linspace(-3.0, 3.0, 11))
+        loss = dm.sum_(dm.mul(dm.sin(x), dm.cos(x)))
+        dm.backward(loss, [x])
+        assert len(calls["sin"]) == 1 and len(calls["cos"]) == 1
+
+    def test_nothing_kept_without_an_adjoint(self):
+        x = parameter(np.linspace(-3.0, 3.0, 11))
+        with dm.no_grad():
+            dm.sin(x), dm.cos(x)
+        assert x.trig is None
+        c = dm.constant(np.linspace(-3.0, 3.0, 11))
+        dm.sin(c), dm.cos(c)
+        assert c.trig is None
+
+    def test_kept_value_is_the_output_and_each_store_a_new_map(self):
+        x = parameter(np.linspace(-3.0, 3.0, 11))
+        s = dm.sin(x)
+        kept = x.trig
+        assert kept == {"sin": s.data} and kept["sin"] is s.data
+        c = dm.cos(x)
+        assert kept == {"sin": s.data}
+        assert x.trig["sin"] is s.data and x.trig["cos"] is c.data
+
+    def test_lone_sine_keeps_no_cosine(self, monkeypatch):
+        calls = spy_trig(monkeypatch)
+        x = parameter(np.linspace(-3.0, 3.0, 11))
+        dm.backward(dm.sum_(dm.sin(x)), [x])
+        assert len(calls["cos"]) == 1
+        assert "cos" not in x.trig
 
 
 def row_stable(op, a, w):

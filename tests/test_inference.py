@@ -1,5 +1,6 @@
 """Inversion, latent integration and forecasting."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -27,12 +28,38 @@ HYPER = DecoderConfig("hyper", latent_dim=3, layers=1, width=8, coord_dim=1,
 
 def test_non_finite_field_names_the_inversion_step():
     params = {k: v.data for k, v in init_decoder(HYPER, seed=0).items()}
+    params["out.b"] = np.full_like(params["out.b"], 1e308)  # squares overflow
     X = np.linspace(0.0, 1.0, 20)[:, None]
-    u0 = np.ones((20, 1))
-    u0[7, 0] = np.inf
-    with pytest.raises(NonFiniteError, match=r"\(inversion step 0\)") as err:
-        invert(HYPER, params, u0, X, InversionConfig(steps=3))
-    assert err.value.op == "sub"
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError, match=r"\(inversion step 0\)") as err:
+        invert(HYPER, params, np.ones((20, 1)), X, InversionConfig(steps=3))
+    assert err.value.op == "mul"
+
+
+@pytest.mark.parametrize("shape,at,where", [
+    ((20, 1), (7, 0), "row 7, channel 0"),
+    ((20, 2), (3, 1), "row 3, channel 1"),
+    ((3, 20, 1), (1, 12, 0), "row 12, channel 0 of field 1"),
+], ids=["field", "channel", "batch"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_u0_is_rejected_before_the_grid_is_bound(monkeypatch, shape, at, where,
+                                                            value):
+    def grid_decoder(*args, **kwargs):
+        raise AssertionError("invert bound the grid before checking u0")
+
+    monkeypatch.setattr(inference, "grid_decoder", grid_decoder)
+    u0 = np.ones(shape)
+    u0[at] = value
+    u0[-1, -1] = np.nan  # a later bad value is not the one named
+    with pytest.raises(ValueError, match=rf"non-finite value at {where}: {value}$"):
+        invert(HYPER, {}, u0, np.linspace(0.0, 1.0, 20)[:, None])
+
+
+@pytest.mark.parametrize("shape", [(20,), (1, 1, 20, 1)], ids=["1-d", "4-d"])
+def test_invert_rejects_fields_of_other_ranks(shape):
+    with pytest.raises(ValueError, match=rf"u0 must have shape \(N, m\) or \(B, N, m\), "
+                                         rf"got {re.escape(str(shape))}"):
+        invert(HYPER, {}, np.full(shape, np.nan), np.linspace(0.0, 1.0, 20)[:, None])
 
 
 @pytest.mark.parametrize("steps", [10.5, 10.0, True])
@@ -245,3 +272,24 @@ def test_forecast_checks_times_before_inverting(trained, monkeypatch, times, mat
     ds, models = trained
     with pytest.raises(ValueError, match=match):
         forecast(models["siren"][0], ds.test[0].snapshots[0], ds.obs_coords, times)
+
+
+@pytest.mark.parametrize("param_dim,beta,match", [
+    (1, None, "beta required"),
+    (0, [0.02], "forbidden otherwise"),
+    (1, [0.02, 0.03], "beta has dimension 2, expected 1"),
+    (2, [[0.02, 1.0], [0.03, 1.0]], "beta has 2 rows for 1 codes"),
+    (1, 0.02, r"beta must have shape \(p,\) or \(B, p\), got \(\)"),
+], ids=["missing", "extra", "wrong-length", "two-rows", "scalar"])
+def test_forecast_checks_beta_before_inverting(trained, monkeypatch, param_dim, beta, match):
+    def invert(*args, **kwargs):
+        raise AssertionError("forecast inverted before checking beta")
+
+    monkeypatch.setattr(inference, "invert", invert)
+    ds, models = trained
+    model = models["hyper"][0]
+    dyn = DynamicsConfig(latent_dim=3, layers=1, width=8, param_dim=param_dim)
+    model = dataclasses.replace(model, dynamics_config=dyn, dynamics_params={
+        k: v.data for k, v in init_dynamics(dyn, seed=0).items()})
+    with pytest.raises(ValueError, match=match):
+        forecast(model, ds.test[0].snapshots[0], ds.obs_coords, [0.0, 1.0], beta=beta)

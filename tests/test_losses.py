@@ -31,6 +31,7 @@ from helpers import (
     grad,
     normal_equations_lstsq,
     projected_affine_rom,
+    spy_trig,
 )
 
 DIFF_GRID = Grid((-20.0, -20.0), (20.0, 20.0), (42, 42))
@@ -544,3 +545,47 @@ class TestBatchTerms:
             for i in range(2)
         ])
         np.testing.assert_allclose(rec_b.data, expected, rtol=1e-9)
+
+
+class TestTrigOnce:
+    """One joint-phase ``batch_terms`` plus ``backward`` evaluates each
+    hidden-layer sine and cosine once: the tape's ``sin``/``cos``
+    adjoints reuse the value of the other function."""
+
+    def _run(self, monkeypatch, dec_config, spec, subset_idx, beta_b=None):
+        rng = np.random.default_rng(36)
+        b, k = subset_idx.shape[0], dec_config.latent_dim
+        dyn_config = DynamicsConfig(latent_dim=k, layers=1, width=8,
+                                    param_dim=0 if beta_b is None else 1)
+        leaves = lambda ps: {n: Tensor(v.data, requires_grad=True) for n, v in ps.items()}
+        dec_params = leaves(init_decoder(dec_config, seed=8))
+        dyn_params = leaves(init_dynamics(dyn_config, seed=8))
+        alpha = Tensor(rng.normal(size=(b, k)) * 0.3, requires_grad=True)
+        snaps = 1.0 + rng.random((b, spec.grid.num_points, 1))
+        calls = spy_trig(monkeypatch)
+        rec, dyn = batch_terms(dec_config, dec_params, dyn_config, dyn_params, alpha,
+                               snaps, spec, subset_idx, beta_b=beta_b)
+        backward(dm.add(rec, dyn), [alpha, *dec_params.values(), *dyn_params.values()])
+        return calls
+
+    def test_hyper_one_sine_and_cosine_per_hidden_layer(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        idx = np.stack([rng.choice(DIFF_GRID.num_points, size=200, replace=False)
+                        for _ in range(2)])
+        calls = self._run(monkeypatch, HYPER, DIFF_SPEC, idx)
+        assert len(calls["sin"]) == len(calls["cos"]) == HYPER.layers
+
+    def test_siren_jacobian_one_sine_and_cosine_per_hidden_layer(self, monkeypatch):
+        siren = DecoderConfig("siren", latent_dim=2, layers=2, width=16, coord_dim=1,
+                              coord_lo=(0.0,), coord_hi=(100.0,))
+        rng = np.random.default_rng(38)
+        b, n_sub = 3, 16
+        idx = np.stack([rng.choice(BURG_GRID.num_points, size=n_sub, replace=False)
+                        for _ in range(b)])
+        calls = self._run(monkeypatch, siren, BURG_SPEC, idx, np.full((b, 1), 0.02))
+        for name, args in calls.items():
+            # the Jacobian's pre-activations are the (B, n_sub, width) arguments
+            jac = [x for x in args if x.shape == (b, n_sub, siren.width)]
+            assert len(jac) == siren.layers, name
+            # and no array, there or in the batch decode, goes through one twice
+            assert len({id(x) for x in args}) == len(args), name

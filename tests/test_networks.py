@@ -549,6 +549,14 @@ class TestDynamics:
             dynamics_eval(config, init_dynamics(config, 0), constant(np.zeros(codes)),
                           constant(np.zeros(betas)))
 
+    @pytest.mark.parametrize("betas", [(), (2, 1, 1)], ids=["scalar", "3-d"])
+    def test_beta_is_a_vector_or_one_row_per_code(self, betas):
+        config = DynamicsConfig(latent_dim=2, layers=1, width=4, param_dim=1)
+        with pytest.raises(ValueError, match=rf"beta must have shape \(p,\) or \(B, p\), "
+                                             f"got {re.escape(str(betas))}"):
+            dynamics_eval(config, init_dynamics(config, 0), constant(np.zeros((2, 2))),
+                          constant(np.zeros(betas)))
+
     def test_deterministic_and_time_free(self):
         config = DynamicsConfig(latent_dim=3, layers=2, width=8)
         params = init_dynamics(config, seed=1)
