@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .networks import DecoderConfig, DynamicsConfig, init_decoder, init_dynamics
+from .networks import DecoderConfig, DynamicsConfig, param_shapes
 from .solvers import Grid, SolverError, SolverSpec, _is_integer, rollout
 from .training import Model, TrainingConfig
 
@@ -404,21 +404,22 @@ def _spec(d: dict) -> SolverSpec:
 
 def _check_params(group: str, params: dict, want: dict) -> None:
     """Raise :class:`FormatError` unless ``params`` has the names and
-    shapes of the freshly initialized ``want``."""
+    shapes ``want`` (:func:`~pderom.networks.param_shapes`)."""
     if params.keys() != want.keys():
         raise FormatError(f"{group} parameters: missing {sorted(want.keys() - params.keys())}, "
                           f"unknown {sorted(params.keys() - want.keys())}")
-    for name, p in want.items():
-        if params[name].shape != p.shape:
+    for name, shape in want.items():
+        if params[name].shape != shape:
             raise FormatError(f"{group} parameter {name!r} has shape "
-                              f"{params[name].shape}, expected {p.shape}")
+                              f"{params[name].shape}, expected {shape}")
 
 
 def load_model(path) -> Model:
     """A model saved by :func:`save_model`.
 
     Besides the container checks, the parameter names and shapes must
-    be those its decoder and dynamics configs initialize, and the
+    be those its decoder and dynamics configs initialize (compared
+    before anything of those sizes is allocated), and the
     latents' last axis and both configs must share one latent_dim;
     anything else raises :class:`FormatError`.
     """
@@ -428,8 +429,8 @@ def load_model(path) -> Model:
         dyn = _config(DynamicsConfig, header["dynamics_config"])
         dec_params = {k[4:]: v for k, v in arrays.items() if k.startswith("dec.")}
         dyn_params = {k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")}
-        _check_params("decoder", dec_params, init_decoder(dec, 0))
-        _check_params("dynamics", dyn_params, init_dynamics(dyn, 0))
+        _check_params("decoder", dec_params, param_shapes(dec))
+        _check_params("dynamics", dyn_params, param_shapes(dyn))
         latents = arrays["latents"]
         if not latents.shape[-1:] == (dec.latent_dim,) == (dyn.latent_dim,):
             raise FormatError(f"latents of shape {latents.shape}, decoder latent_dim "

@@ -42,10 +42,28 @@ All data is float64.  Every primitive checks its output for
 non-finite values and raises :class:`NonFiniteError` naming the
 operation, so a NaN produced deep inside a training step surfaces at
 the exact node that created it.
+
+The passes that dominate a sine-activated decoder run on every CPU the
+process may use: the sines and cosines of :func:`sin` and :func:`cos`
+(their fallback adjoints too), the bias, scale and sine of
+:func:`sine_affine` and the cosine, cotangent and scale of its adjoint,
+the row-stable products of :func:`matmul` with one weight matrix, and
+the combination in :func:`sin_shift`.  A large enough pass is cut into
+contiguous chunks of elements or rows; the calling thread computes the
+first and a thread pool, made on first use with one thread per other
+CPU, the rest.  numpy releases the interpreter lock inside these loops,
+so the chunks run at once.  Each element, or each row of a row-stable
+product, goes through the same numpy kernel on the same inputs as in
+one unsplit call, so the results are bitwise those of the serial code,
+whatever the chunk count.  A BLAS gemm is never split: its bits depend
+on its blocking over the rows.  On one CPU nothing is split, and no
+pool or thread is made.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -198,6 +216,102 @@ def _make(data, parents, vjp, op) -> Tensor:
     return Tensor(data, op=op)
 
 
+# ----------------------------------------------------------------------
+# splitting one numpy pass across cores
+
+# Least work per chunk, in float64 sine evaluations (9-20 ns each, the
+# more the larger the argument).  Handing a chunk to a pool thread costs
+# about 26 us back to back, and more once that thread's CPU has idled.
+# np.sin of uniform(-3, 3), serial -> two-way, one BLAS thread, 2-core VM:
+# 4096 elements 27.7 -> 46.1 us, 6144 53.4 -> 54.6 us, 8192 74.5 ->
+# 69.4 us, 11264 120 -> 77 us, 16384 189 -> 123 us, 65536 826 -> 470 us.
+# So two parts start at 8192 sines.  That splits the per-step layers of
+# the siren inversions, (256, 64) on burgers-siren and (176, 64) on
+# diffusion-siren-sparse: their 1000-step inversions took 1.85 and 1.44 s
+# against 1.96 and 1.56 s with a 16384 minimum (medians of 6, alternated).
+_MIN_CHUNK = 4096
+
+_pool = None  # the ThreadPoolExecutor, made on first split
+_pool_lock = threading.Lock()
+_cores = None  # CPUs this process may run on, read on first use
+
+
+def _cpu_count() -> int:
+    global _cores
+    if _cores is None:
+        _cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count() or 1
+    return _cores
+
+
+def _parts(work: int) -> int:
+    """How many chunks a pass of ``work`` sine-equivalents is split into."""
+    return min(_cpu_count(), work // _MIN_CHUNK)
+
+
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, where it is needed: about 0.8 ms of set-up otherwise
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(_cpu_count() - 1, 1),
+                                       thread_name_prefix="pderom-split")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: its parent's pool threads do not exist there."""
+    global _pool, _pool_lock, _cores
+    _pool, _pool_lock, _cores = None, threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(kernel: Callable[[int, int], None], n: int, work: int) -> None:
+    """Run ``kernel(lo, hi)`` over ``[0, n)`` in contiguous chunks.
+
+    ``work`` is the serial pass's cost in float64 sine evaluations; it
+    sets the chunk count (:func:`_parts`, at most one per CPU).  The
+    calling thread runs the first chunk and a pool thread each other
+    one, in a copy of the caller's context, so ``np.errstate`` holds
+    there too.  A kernel runs numpy loops on its own rows only: no tape
+    op, and no split of its own, so a chunk never waits for another.
+    It writes into arrays the caller made and allocates none, which
+    would stay in the pool thread's malloc arena.  Every chunk has
+    finished when this returns or raises.
+    """
+    parts = min(_parts(work), n)
+    if parts < 2:
+        kernel(0, n)
+        return
+    bounds = [n * i // parts for i in range(parts + 1)]
+    pool = _pool or _executor()
+    futures = [pool.submit(contextvars.copy_context().run, kernel, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        kernel(0, bounds[1])
+    finally:
+        errors = [f.exception() for f in futures]
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _trig(fn, x: np.ndarray) -> np.ndarray:
+    """``fn(x)`` for ``np.sin`` or ``np.cos``, split when ``x`` is large
+    and C-contiguous (the tape's own outputs are)."""
+    if _parts(x.size) < 2 or not x.flags.c_contiguous:
+        return fn(x)
+    out = np.empty_like(x)
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    _split(lambda lo, hi: fn(xs[lo:hi], out=outs[lo:hi]), x.size, x.size)
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a cotangent down to the shape of the operand it belongs to."""
     if g.shape == shape:
@@ -306,22 +420,22 @@ def _keep_trig(t: Tensor, a: Tensor, name: str) -> Tensor:
 
 def sin(a) -> Tensor:
     a = as_tensor(a)
-    out = np.sin(a.data)
+    out = _trig(np.sin, a.data)
 
     def vjp(g):
         c = (a.trig or {}).get("cos")
-        return (g * (np.cos(a.data) if c is None else c),)
+        return (g * (_trig(np.cos, a.data) if c is None else c),)
 
     return _keep_trig(_make(out, (a,), vjp, "sin"), a, "sin")
 
 
 def cos(a) -> Tensor:
     a = as_tensor(a)
-    out = np.cos(a.data)
+    out = _trig(np.cos, a.data)
 
     def vjp(g):
         s = (a.trig or {}).get("sin")
-        return (g * -(np.sin(a.data) if s is None else s),)
+        return (g * -(_trig(np.sin, a.data) if s is None else s),)
 
     return _keep_trig(_make(out, (a,), vjp, "cos"), a, "cos")
 
@@ -397,7 +511,18 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     depends on the strides.
     """
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
+    if a.ndim < 2 or b.ndim != 2:
+        return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
+    # one weight matrix: split the rows, each core keeping its strides
+    rows = a.reshape(-1, a.shape[-1])
+    out = np.empty((len(rows), 1, b.shape[-1]))
+
+    def kernel(lo, hi):
+        np.matmul(rows[lo:hi, None, :], b, out=out[lo:hi])
+
+    # a row-vector product at width 64 costs about 5 ns per output element
+    _split(kernel, len(rows), out.size // 2)
+    return out.reshape(*a.shape[:-1], b.shape[-1])
 
 
 def matmul(a, b, row_stable: bool = False) -> Tensor:
@@ -411,9 +536,12 @@ def matmul(a, b, row_stable: bool = False) -> Tensor:
     slicing, permutation, and batch size.  On one core that costs
     1.2-2.1x a gemm at width 64 (1.2x at (31752, 64) x (64, 64), 2.1x at
     (1764, 64) x (64, 64)) and up to 9x on tiny products such as
-    (1764, 2) x (2, 32), where the per-row call dominates.  The decoders
-    use that mode for their exact-equivariance contract; hot loops keep
-    the default.
+    (1764, 2) x (2, 32), where the per-row call dominates.  With a 2-D
+    ``b`` and enough rows the row products are split across the CPUs,
+    which a gemm is not: on a 2-core VM with one BLAS thread, 1024 rows
+    of (64, 64) took 438 us serial and 249 us split, against 175 us for
+    one gemm.  The decoders use that mode for their exact-equivariance
+    contract; hot loops keep the default.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -584,15 +712,32 @@ def sine_affine(z, W, b, scale: float, row_stable: bool = False) -> Tensor:
     if W.ndim != 2 or b.ndim != 1:
         raise ValueError("sine_affine expects 2-D W and 1-D b")
     pre = _rowwise_matmul(z.data, W.data) if row_stable else z.data @ W.data
-    pre += b.data
-    pre *= scale
-    out = np.sin(pre)
+    # the elementwise tail, split by rows; the gemm above stays whole
+    pre = np.ascontiguousarray(pre)
+    rows = pre.reshape(-1, pre.shape[-1])
+    out = np.empty_like(pre)
+    out_rows = out.reshape(rows.shape)
+
+    def tail(lo, hi):
+        p = rows[lo:hi]
+        p += b.data
+        p *= scale
+        np.sin(p, out=out_rows[lo:hi])
+
+    _split(tail, len(rows), rows.size)
     nz, nW, nb = z.requires_grad, W.requires_grad, b.requires_grad
 
     def vjp(g):
-        dpre = np.cos(pre)
-        dpre *= g
-        dpre *= scale
+        dpre = np.empty_like(pre)
+        d_rows, g_rows = dpre.reshape(rows.shape), np.reshape(g, rows.shape)
+
+        def adjoint(lo, hi):
+            d = d_rows[lo:hi]
+            np.cos(rows[lo:hi], out=d)
+            d *= g_rows[lo:hi]
+            d *= scale
+
+        _split(adjoint, len(rows), rows.size)
         gz = gW = gb = None
         if nz:
             gz = dpre @ W.data.T
@@ -620,8 +765,24 @@ def sin_shift(s, c, q) -> Tensor:
     if s.shape != c.shape:
         raise ValueError(f"sin_shift: sin p {s.shape} and cos p {c.shape} differ in shape")
     cq, sq = np.cos(q.data), np.sin(q.data)
-    out = s.data * cq
-    out += c.data * sq
+    out = np.empty(np.broadcast_shapes(s.shape, q.shape))
+    # made here, as c sin q was: memory a pool thread allocates stays in
+    # its own malloc arena, where this thread cannot reuse it
+    term = np.empty_like(out)
+    # split along the output's first axis; an operand that broadcasts
+    # along it is read whole by every chunk
+    lead = out.shape[0] if out.ndim else 1
+
+    def part(x, lo, hi):
+        return x[lo:hi] if x.ndim == out.ndim > 0 and x.shape[0] == lead else x
+
+    def combine(lo, hi):
+        o, t = part(out, lo, hi), part(term, lo, hi)
+        np.multiply(part(s.data, lo, hi), part(cq, lo, hi), out=o)
+        o += np.multiply(part(c.data, lo, hi), part(sq, lo, hi), out=t)
+
+    # two products and a sum: about a quarter of a sine per element
+    _split(combine, lead, out.size // 4)
     ns, nc, nq = s.requires_grad, c.requires_grad, q.requires_grad
 
     def vjp(g):

@@ -56,6 +56,7 @@ __all__ = [
     "DynamicsConfig",
     "init_decoder",
     "init_dynamics",
+    "param_shapes",
     "decode",
     "grid_decoder",
     "affine_decomposition",
@@ -127,60 +128,78 @@ class DynamicsConfig:
             raise ValueError("param_dim must be >= 0")
 
 
-def init_decoder(config: DecoderConfig, seed: int) -> dict[str, Tensor]:
-    """Deterministic parameter initialization for a decoder."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
+def _uniform(bound: float):
+    return lambda rng, shape: rng.uniform(-bound, bound, size=shape)
+
+
+def _decoder_layout(config: DecoderConfig) -> list:
+    """Each decoder parameter as ``(name, shape, draw)`` in draw order;
+    ``draw(rng, shape)`` makes its initial value."""
     k, w, d, m = config.latent_dim, config.width, config.coord_dim, config.out_channels
+    layout = []
     if config.architecture == "siren":
         fan = d + k
         # first layer uses the 1/fan_in bound, later layers sqrt(6/fan)/omega0
-        params["l0.W"] = rng.uniform(-1.0 / fan, 1.0 / fan, size=(fan, w))
-        params["l0.b"] = rng.uniform(-1.0 / np.sqrt(fan), 1.0 / np.sqrt(fan), size=(w,))
+        layout += [("l0.W", (fan, w), _uniform(1.0 / fan)),
+                   ("l0.b", (w,), _uniform(1.0 / np.sqrt(fan)))]
         for i in range(1, config.layers):
-            bound = np.sqrt(6.0 / w) / config.omega0
-            params[f"l{i}.W"] = rng.uniform(-bound, bound, size=(w, w))
-            params[f"l{i}.b"] = rng.uniform(-1.0 / np.sqrt(w), 1.0 / np.sqrt(w), size=(w,))
+            layout += [(f"l{i}.W", (w, w), _uniform(np.sqrt(6.0 / w) / config.omega0)),
+                       (f"l{i}.b", (w,), _uniform(1.0 / np.sqrt(w)))]
         # plain linear head: the sine-layer bound would shrink outputs by omega0
-        bound = np.sqrt(6.0 / w)
-        params["out.W"] = rng.uniform(-bound, bound, size=(w, m))
-        params["out.b"] = rng.uniform(-1.0 / np.sqrt(w), 1.0 / np.sqrt(w), size=(m,))
+        layout += [("out.W", (w, m), _uniform(np.sqrt(6.0 / w))),
+                   ("out.b", (m,), _uniform(1.0 / np.sqrt(w)))]
     else:
-        half = w // 2
         fan = d
         for i in range(config.layers):
             b = 1.0 / np.sqrt(fan)
-            params[f"l{i}.W"] = rng.uniform(-b, b, size=(fan, w))
-            params[f"l{i}.b"] = rng.uniform(-b, b, size=(w,))
-            params[f"l{i}.Wm"] = rng.uniform(-1.0 / np.sqrt(k), 1.0 / np.sqrt(k), size=(k, w))
-            params[f"l{i}.freq"] = rng.standard_normal((half, d)) * (30.0 / d)
+            layout += [(f"l{i}.W", (fan, w), _uniform(b)), (f"l{i}.b", (w,), _uniform(b)),
+                       (f"l{i}.Wm", (k, w), _uniform(1.0 / np.sqrt(k))),
+                       (f"l{i}.freq", (w // 2, d),
+                        lambda rng, shape: rng.standard_normal(shape) * (30.0 / d))]
             fan = w
         b = 1.0 / np.sqrt(w)
-        params["out.W"] = rng.uniform(-b, b, size=(w, m))
-        params["out.b"] = rng.uniform(-b, b, size=(m,))
-        params["out.Wm"] = rng.uniform(-1.0 / np.sqrt(k), 1.0 / np.sqrt(k), size=(k, m))
-    return {name: Tensor(v) for name, v in params.items()}
+        layout += [("out.W", (w, m), _uniform(b)), ("out.b", (m,), _uniform(b)),
+                   ("out.Wm", (k, m), _uniform(1.0 / np.sqrt(k)))]
+    return layout
+
+
+def _dynamics_layout(config: DynamicsConfig) -> list:
+    """As :func:`_decoder_layout`, for the dynamics network."""
+    k, w = config.latent_dim, config.width
+    fan = k + (k if config.param_dim else 0)  # beta projects to width k
+    layout = []
+    if config.param_dim:
+        b = 1.0 / np.sqrt(config.param_dim)
+        layout += [("beta.W", (config.param_dim, k), _uniform(b)),
+                   ("beta.b", (k,), _uniform(b))]
+    for i in range(config.layers):
+        b = 1.0 / np.sqrt(fan)
+        layout += [(f"l{i}.W", (fan, w), _uniform(b)), (f"l{i}.b", (w,), _uniform(b)),
+                   (f"l{i}.omega", (), lambda rng, shape: np.array(1.0))]
+        fan = w
+    b = 1.0 / np.sqrt(fan)
+    return layout + [("out.W", (fan, k), _uniform(b)), ("out.b", (k,), _uniform(b))]
+
+
+def param_shapes(config) -> dict[str, tuple]:
+    """The name and shape of every parameter a decoder or dynamics
+    config initializes, computed without allocating any of them."""
+    layout = (_decoder_layout if isinstance(config, DecoderConfig) else _dynamics_layout)(config)
+    return {name: shape for name, shape, _ in layout}
+
+
+def _init(layout: list, seed: int) -> dict[str, Tensor]:
+    rng = np.random.default_rng(seed)
+    return {name: Tensor(draw(rng, shape)) for name, shape, draw in layout}
+
+
+def init_decoder(config: DecoderConfig, seed: int) -> dict[str, Tensor]:
+    """Deterministic parameter initialization for a decoder."""
+    return _init(_decoder_layout(config), seed)
 
 
 def init_dynamics(config: DynamicsConfig, seed: int) -> dict[str, Tensor]:
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
-    k = config.latent_dim
-    fan = k + (k if config.param_dim else 0)  # beta projects to width k
-    if config.param_dim:
-        b = 1.0 / np.sqrt(config.param_dim)
-        params["beta.W"] = rng.uniform(-b, b, size=(config.param_dim, k))
-        params["beta.b"] = rng.uniform(-b, b, size=(k,))
-    for i in range(config.layers):
-        b = 1.0 / np.sqrt(fan)
-        params[f"l{i}.W"] = rng.uniform(-b, b, size=(fan, config.width))
-        params[f"l{i}.b"] = rng.uniform(-b, b, size=(config.width,))
-        params[f"l{i}.omega"] = np.array(1.0)
-        fan = config.width
-    b = 1.0 / np.sqrt(fan)
-    params["out.W"] = rng.uniform(-b, b, size=(fan, k))
-    params["out.b"] = rng.uniform(-b, b, size=(k,))
-    return {name: Tensor(v) for name, v in params.items()}
+    return _init(_dynamics_layout(config), seed)
 
 
 def _normalized_coords(config: DecoderConfig, X) -> np.ndarray:

@@ -15,7 +15,8 @@ its rows and scatter gradients back.
 Training is a pure function of (dataset, configs, seed): shuffling,
 hyper-reduction draws, and initialization all derive from per-purpose
 child streams of the run seed, so a rerun reproduces checkpoints bit
-for bit in single-threaded mode.
+for bit with one BLAS thread, however many CPUs the tape's split
+passes use (see :mod:`pderom.diffmath.tape`).
 """
 
 from __future__ import annotations

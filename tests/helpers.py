@@ -46,9 +46,12 @@ class _TrigSpy:
 def spy_trig(monkeypatch) -> dict:
     """Record the array behind every ``np.sin`` and ``np.cos`` call that
     :mod:`pderom.diffmath.tape` makes from now on.  Returns the lists
-    ``{"sin": [...], "cos": [...]}``; they fill as the tape runs."""
+    ``{"sin": [...], "cos": [...]}``; they fill as the tape runs.  The
+    tape runs each pass whole, so one call is one evaluation of a whole
+    array: split, it would call numpy once per chunk."""
     spy = _TrigSpy()
     monkeypatch.setattr(tape, "np", spy)
+    monkeypatch.setattr(tape, "_parts", lambda work: 1)
     return spy.calls
 
 

@@ -1,13 +1,15 @@
 """Dataset generation, sparse grids, and the binary container."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pderom import data
 from pderom.data import FormatError
-from pderom.networks import DecoderConfig, DynamicsConfig, init_decoder, init_dynamics
+from pderom.networks import (DecoderConfig, DynamicsConfig, init_decoder, init_dynamics,
+                             param_shapes)
 from pderom.solvers import Grid, SolverSpec, rollout
 from pderom.training import Model, TrainingConfig
 
@@ -270,6 +272,29 @@ class TestContainer:
                 "shape": rf"{word} parameter '{name}' has shape"}[change]
         with pytest.raises(FormatError, match=what):
             data.load_model(path)
+
+    @pytest.mark.parametrize("group", ["decoder_config", "dynamics_config"])
+    def test_huge_width_raises_before_anything_is_allocated(self, tmp_path, group):
+        # 2**40 columns would take terabytes, far past what any allocator
+        # grants, so not even a regression could really allocate them
+        path, _ = saved_container(tmp_path, "model")
+        edit_keys(path, (group,), "width", 2**40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=r"has shape .*, expected .*1099511627776"):
+                data.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_parameter_shapes_are_those_initialized(self):
+        configs = [DecoderConfig("siren", 3, 3, 8, 2), DecoderConfig("hyper", 3, 2, 8, 2, 2),
+                   DynamicsConfig(3, 2, 8), DynamicsConfig(3, 1, 8, param_dim=2)]
+        for config in configs:
+            init = (init_decoder if isinstance(config, DecoderConfig) else init_dynamics)(
+                config, 0)
+            assert param_shapes(config) == {k: v.shape for k, v in init.items()}
 
     @pytest.mark.parametrize("latents_k,dyn_k", [(3, 2), (2, 3)])
     def test_latent_dims_must_agree(self, tmp_path, latents_k, dyn_k):
