@@ -271,7 +271,10 @@ def _read_container(path, kind: str) -> tuple[dict, dict]:
     a short or truncated file, a corrupt header or manifest, arrays that
     are not laid out back to back, or bytes after the last array.  The
     array bytes carry no checksum, so a flipped bit there goes unseen.
-    Each array is read straight into its own buffer.
+    The whole array section is read into one buffer, and each array is
+    a view of it, as a generated dataset's trajectories share its
+    rollout buffer.  Every dtype is 8 bytes wide, so the views are
+    aligned.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -297,24 +300,40 @@ def _read_container(path, kind: str) -> tuple[dict, dict]:
         if header.get("kind") != kind:
             raise FormatError(f"container holds {header.get('kind')!r}, not a {kind}")
         data_start = end
-        arrays = {}
+        names = set()
         for name, shape, code, offset in manifest:
-            if (not isinstance(name, str) or name in arrays or code not in ("<f8", "<i8")
+            if (not isinstance(name, str) or name in names or code not in ("<f8", "<i8")
                     or not all(type(n) is int and n >= 0 for n in shape)
                     or offset != end - data_start):
                 raise FormatError(f"corrupt manifest entry for array {name!r}")
+            names.add(name)
             end += math.prod(shape) * 8
             if end > size:
                 raise FormatError(
                     f"truncated file: array {name!r} needs bytes up to {end}, file has {size}"
                 )
-            arr = np.empty(shape, dtype=code)
-            if fh.readinto(arr) != arr.nbytes:
-                raise FormatError(f"truncated file: array {name!r} ends early")
-            arrays[name] = arr
-    if end != size:
-        raise FormatError(f"{size - end} unexpected bytes after the last array")
+        if end != size:
+            raise FormatError(f"{size - end} unexpected bytes after the last array")
+        block = np.empty(end - data_start, dtype=np.uint8)
+        if fh.readinto(block) != block.nbytes:
+            raise FormatError("truncated file: the arrays end early")
+    arrays = {}
+    for name, shape, code, offset in manifest:
+        nbytes = math.prod(shape) * 8
+        arrays[name] = block[offset:offset + nbytes].view(code).reshape(shape)
     return header, arrays
+
+
+def _take(arrays: dict, prefix: str) -> dict:
+    """Remove the arrays named ``prefix`` + name; return them by name."""
+    names = [k for k in arrays if k.startswith(prefix)]
+    return {k[len(prefix):]: arrays.pop(k) for k in names}
+
+
+def _check_all_read(kind: str, left: dict) -> None:
+    """Raise :class:`FormatError` if a loader left any array unread."""
+    if left:
+        raise FormatError(f"{kind} container holds arrays it does not use: {sorted(left)}")
 
 
 @contextmanager
@@ -347,18 +366,26 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
+    """A dataset saved by :func:`save_dataset`.
+
+    Besides the container checks, each split count must be a
+    non-negative integer, and the container must hold exactly the
+    arrays that the counts and ``obs_indices`` name; anything else
+    raises :class:`FormatError`.
+    """
     header, arrays = _read_container(path, "dataset")
     with _malformed("dataset"):
         splits = {}
         for split in ("train", "test", "val"):
-            items = []
-            for i in range(header["splits"][split]):
-                items.append(Trajectory(
-                    snapshots=arrays[f"{split}.{i:04d}.snapshots"],
-                    beta=arrays[f"{split}.{i:04d}.beta"],
-                ))
-            splits[split] = items
-        obs = arrays.get("obs_indices")
+            count = header["splits"][split]
+            if not (_is_integer(count) and count >= 0):
+                raise FormatError(f"{split} split count must be a non-negative integer, "
+                                  f"got {count!r}")
+            splits[split] = [Trajectory(snapshots=arrays.pop(f"{split}.{i:04d}.snapshots"),
+                                        beta=arrays.pop(f"{split}.{i:04d}.beta"))
+                             for i in range(count)]
+        obs = arrays.pop("obs_indices", None)
+        _check_all_read("dataset", arrays)
         return Dataset(
             spec=_spec(header["spec"]),
             snapshot_dt=header["snapshot_dt"],
@@ -420,18 +447,20 @@ def load_model(path) -> Model:
     Besides the container checks, the parameter names and shapes must
     be those its decoder and dynamics configs initialize (compared
     before anything of those sizes is allocated), and the
-    latents' last axis and both configs must share one latent_dim;
-    anything else raises :class:`FormatError`.
+    latents' last axis and both configs must share one latent_dim.
+    Every array must be ``latents``, a parameter or a history entry.
+    Anything else raises :class:`FormatError`.
     """
     header, arrays = _read_container(path, "model")
     with _malformed("model"):
         dec = _config(DecoderConfig, header["decoder_config"])
         dyn = _config(DynamicsConfig, header["dynamics_config"])
-        dec_params = {k[4:]: v for k, v in arrays.items() if k.startswith("dec.")}
-        dyn_params = {k[4:]: v for k, v in arrays.items() if k.startswith("dyn.")}
+        dec_params, dyn_params = _take(arrays, "dec."), _take(arrays, "dyn.")
         _check_params("decoder", dec_params, param_shapes(dec))
         _check_params("dynamics", dyn_params, param_shapes(dyn))
-        latents = arrays["latents"]
+        latents = arrays.pop("latents")
+        history = _take(arrays, "history.")
+        _check_all_read("model", arrays)
         if not latents.shape[-1:] == (dec.latent_dim,) == (dyn.latent_dim,):
             raise FormatError(f"latents of shape {latents.shape}, decoder latent_dim "
                               f"{dec.latent_dim} and dynamics latent_dim {dyn.latent_dim} "
@@ -445,5 +474,5 @@ def load_model(path) -> Model:
             spec=_spec(header["spec"]),
             snapshot_dt=header["snapshot_dt"],
             training_config=_config(TrainingConfig, header["training_config"]),
-            history={k[8:]: v for k, v in arrays.items() if k.startswith("history.")},
+            history=history,
         )

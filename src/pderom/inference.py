@@ -248,11 +248,13 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     ``u0`` is one field of shape (len(X), m) on the grid ``X`` (any
     subset or superset of the solver grid); ``times`` are absolute times
     with the initial condition at ``times[0]``.  Decodes on
-    ``query_grid`` (default: the solver grid) at every requested time.  ``beta`` must carry the PDE parameters for
-    parameterized dynamics.  Returns (T, N_query, m).  ``times`` must be
-    finite and strictly increasing, and ``beta`` given exactly when the
-    dynamics are parameterized, as (p,) or (1, p); both are checked
-    before the inversion.
+    ``query_grid`` (default: the solver grid) at every requested time.
+    ``beta`` must carry the PDE parameters for parameterized dynamics.
+    Returns (T, N_query, m).  ``query_grid`` must be a finite
+    (N_query, coord_dim) array, ``times`` finite and strictly
+    increasing, and ``beta`` given exactly when the dynamics are
+    parameterized, as (p,) or (1, p); all three are checked before the
+    inversion.
 
     The final decode runs in exact (row-stable) mode.  A siren decodes
     the times in blocks sized so that each hidden layer's array holds
@@ -266,6 +268,11 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
         raise ValueError(f"u0 must have shape {want} (one field on X), got {u0.shape}")
     Xq = model.spec.grid.coords() if query_grid is None else np.asarray(query_grid)
     # before the inversion, which takes longest
+    d = model.decoder_config.coord_dim
+    if Xq.ndim != 2 or Xq.shape[1] != d:
+        raise ValueError(f"query_grid must have shape (N, {d}), got {Xq.shape}")
+    if not np.isfinite(Xq).all():
+        raise ValueError("query_grid must be finite")
     times = _check_times(None, times)
     _check_beta(model.dynamics_config, beta, 1)
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)

@@ -234,6 +234,34 @@ class TestContainer:
         second = saved(tmp_path, data.load_dataset(first), "b.pdrm")
         assert first.read_bytes() == second.read_bytes()
 
+    def test_loaded_arrays_are_views_of_one_buffer(self, tmp_path, diffusion):
+        sparse, _ = data.subsample_grid(diffusion, 0.2, seed=1)
+        loaded = data.load_dataset(saved(tmp_path, sparse))
+        arrays = [loaded.obs_indices] + [a for traj in loaded.train + loaded.test + loaded.val
+                                         for a in (traj.snapshots, traj.beta)]
+        block = arrays[0].base
+        assert block is not None and all(a.base is block for a in arrays)
+        assert block.nbytes == sum(a.nbytes for a in arrays)
+
+    @pytest.mark.parametrize("split,count,match", [
+        ("train", 0, r"arrays it does not use: \['train.0000.beta', 'train.0000.snapshots'\]"),
+        ("test", -1, "test split count must be a non-negative integer, got -1"),
+    ], ids=["lowered", "negative"])
+    def test_every_split_array_must_be_read(self, tmp_path, split, count, match):
+        path = saved(tmp_path, small_dataset())
+        edit_keys(path, ["splits"], split, count)
+        with pytest.raises(FormatError, match=match):
+            data.load_dataset(path)
+
+    def test_every_model_array_must_be_read(self, tmp_path):
+        path, _ = saved_container(tmp_path, "model")
+        blob = path.read_bytes()
+        end = 20 + int(np.frombuffer(blob[12:20], dtype="<u8")[0])
+        names = [e["name"] for e in json.loads(blob[20:end])["arrays"]]
+        edit_keys(path, ["arrays", names.index("history.loss")], "name", "extra.loss")
+        with pytest.raises(FormatError, match=r"arrays it does not use: \['extra.loss'\]"):
+            data.load_model(path)
+
     def test_model_round_trip_keeps_shapes_and_bits(self, tmp_path):
         model = small_model()
         assert model.dynamics_params["l0.omega"].shape == ()

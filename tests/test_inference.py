@@ -293,3 +293,22 @@ def test_forecast_checks_beta_before_inverting(trained, monkeypatch, param_dim, 
         k: v.data for k, v in init_dynamics(dyn, seed=0).items()})
     with pytest.raises(ValueError, match=match):
         forecast(model, ds.test[0].snapshots[0], ds.obs_coords, [0.0, 1.0], beta=beta)
+
+
+@pytest.mark.parametrize("arch", ["hyper", "siren"])
+@pytest.mark.parametrize("grid,match", [
+    (np.zeros((10, 3)), r"query_grid must have shape \(N, 2\), got \(10, 3\)"),
+    (np.zeros((2, 10, 2)), r"query_grid must have shape \(N, 2\), got \(2, 10, 2\)"),
+    (np.zeros(10), r"query_grid must have shape \(N, 2\), got \(10,\)"),
+    (np.array([[0.0, 1.0], [np.nan, 0.0]]), "query_grid must be finite"),
+    (np.array([[0.0, np.inf]]), "query_grid must be finite"),
+], ids=["3-columns", "3-d", "1-d", "nan", "inf"])
+def test_forecast_checks_query_grid_before_inverting(trained, monkeypatch, arch, grid, match):
+    def invert(*args, **kwargs):
+        raise AssertionError("forecast inverted before checking its query grid")
+
+    monkeypatch.setattr(inference, "invert", invert)
+    ds, models = trained
+    with pytest.raises(ValueError, match=match):
+        forecast(models[arch][0], ds.test[0].snapshots[0], ds.obs_coords, [0.0, 1.0],
+                 query_grid=grid)

@@ -166,7 +166,7 @@ class TestDecode:
 
         def loss(p):
             out = decode(config, p, constant(alpha), X)
-            return dm.mean_(out * out)
+            return dm.mean_(dm.mul(out, out))
 
         assert fd_check_params(loss, params) <= 1e-4
 

@@ -111,7 +111,7 @@ class TestDiffusionStep:
         assert a.tobytes() == b.tobytes()
 
     def test_subtracts_through_the_module_op(self, monkeypatch):
-        # the traced benchmark counts dm.sub; the Tensor operator would bypass it
+        # the traced benchmark counts the calls of dm.sub
         calls = []
         sub = dm.sub
         monkeypatch.setattr(dm, "sub", lambda a, b: calls.append(1) or sub(a, b))
@@ -130,7 +130,7 @@ class TestDiffusionStep:
 
         def loss(p):
             out = diffusion_step(p["u"], 2.0, 0.001, grid)
-            return dm.sum_(out * constant(w))
+            return dm.sum_(dm.mul(out, constant(w)))
 
         assert fd_check_params(loss, {"u": constant(rng.normal(size=(6, 6)))}) <= 1e-5
 
@@ -216,7 +216,7 @@ class TestBurgersStep:
 
         def loss(p):
             out = burgers_step(p["w"], p["mu"], 0.02, g)
-            return dm.sum_(out * constant(target))
+            return dm.sum_(dm.mul(out, constant(target)))
 
         params = {"w": constant(w), "mu": constant(np.array([0.03]))}
         assert fd_check_params(loss, params) <= 1e-5
@@ -247,7 +247,7 @@ class TestTimeDerivative:
         weights = rng.normal(size=16)
 
         def loss(p):
-            return dm.sum_(time_derivative(spec, p["u"]) * constant(weights))
+            return dm.sum_(dm.mul(time_derivative(spec, p["u"]), constant(weights)))
 
         assert fd_check_params(loss, {"u": constant(1.0 + 0.3 * rng.random(16))}) <= 1e-5
 

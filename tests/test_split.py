@@ -110,6 +110,7 @@ def test_rowwise_matmul(parts, ashape, bshape):
     ((129, 64), (33, 1, 64)), ((4097, 3), (1, 3)), ((), ()),
 ], ids=str)
 def test_sin_shift(parts, pshape, qshape):
+    # one unsplit pass: no chunk count may change its bits
     rng = np.random.default_rng(len(pshape) + len(qshape))
     q = rng.uniform(-40.0, 40.0, size=qshape)
     views = arrays(rng, pshape) if pshape else {"scalar": np.array(0.3)}
