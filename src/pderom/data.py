@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"PDROMBIN"
-VERSION = 3
+VERSION = 4
 
 BURGERS_TRAIN_MU = (0.015, 0.0171, 0.0193, 0.0214, 0.0236, 0.0257, 0.0279, 0.03)
 BURGERS_TEST_MU = (0.0129, 0.0161, 0.0182, 0.0204, 0.0225, 0.0246, 0.0268,

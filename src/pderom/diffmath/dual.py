@@ -1,16 +1,14 @@
-"""A value with ``k`` stacked tangents: the decoder's Jacobian currency.
+"""A value with ``k`` stacked tangents: the siren decoder's Jacobian currency.
 
-:func:`pderom.networks.decode` takes a :class:`DualBatch` of a code and
-its tangent directions and returns one of the field and its directional
-derivatives.  It is the decoder's Jacobian API: with one unit tangent per
-latent, ``decode(config, params, DualBatch(alpha, constant(eye(k))), X)``
-returns the field and, as its tangent, the (k, N, m) transposed Jacobian.
-How the tangents are computed is the decoder's business: both decoders
-run ``m`` reverse sweeps (one per output channel) and contract them with
-the tangents, so no work beyond that last contraction grows with ``k``.
-The tangents are ordinary tape tensors, so a Jacobian assembled this way
-stays differentiable in reverse mode; this is what lets the training
-loss differentiate through the decoder Jacobian.
+:func:`pderom.networks.decode` of a siren takes a :class:`DualBatch` of
+a code and its tangent directions and returns one of the field and its
+directional derivatives: with one unit tangent per latent, the (k, N, m)
+transposed Jacobian.  The decoder runs ``m`` reverse sweeps (one per
+output channel) and contracts them with the tangents, so no work beyond
+that last contraction grows with ``k``.  The tangents are ordinary tape
+tensors, so the training loss can differentiate through the Jacobian.
+The hyper decoder's Jacobian is the map of
+:func:`pderom.networks.affine_decomposition` instead.
 """
 
 from __future__ import annotations

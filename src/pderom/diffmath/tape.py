@@ -445,34 +445,29 @@ def softplus(a) -> Tensor:
     return _make(out, (a,), vjp, "softplus")
 
 
-def maximum(a, b) -> Tensor:
+def _extremum(a, b, pick, takes_a, op: str) -> Tensor:
+    """``pick(a, b)`` elementwise; the gradient goes to ``a`` where
+    ``takes_a(a, b)`` holds (ties included) and to ``b`` elsewhere."""
     a, b = as_tensor(a), as_tensor(b)
-    out = np.maximum(a.data, b.data)
+    out = pick(a.data, b.data)
     na, nb = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        take_a = a.data >= b.data
+        take_a = takes_a(a.data, b.data)
         return (
             _unbroadcast(np.where(take_a, g, 0.0), a.data.shape) if na else None,
             _unbroadcast(np.where(take_a, 0.0, g), b.data.shape) if nb else None,
         )
 
-    return _make(out, (a, b), vjp, "maximum")
+    return _make(out, (a, b), vjp, op)
+
+
+def maximum(a, b) -> Tensor:
+    return _extremum(a, b, np.maximum, np.greater_equal, "maximum")
 
 
 def minimum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = np.minimum(a.data, b.data)
-    na, nb = a.requires_grad, b.requires_grad
-
-    def vjp(g):
-        take_a = a.data <= b.data
-        return (
-            _unbroadcast(np.where(take_a, g, 0.0), a.data.shape) if na else None,
-            _unbroadcast(np.where(take_a, 0.0, g), b.data.shape) if nb else None,
-        )
-
-    return _make(out, (a, b), vjp, "minimum")
+    return _extremum(a, b, np.minimum, np.less_equal, "minimum")
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,18 @@ class IntegratorConfig:
             raise ValueError("tolerances must be positive and finite")
 
 
+def _check_grid(name: str, X, d: int, rows=None) -> np.ndarray:
+    """``X`` as an array, or ``ValueError`` unless it is a finite array of
+    shape (rows, d); ``rows`` None allows any number of rows."""
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != d or rows not in (None, len(X)):
+        n = "N" if rows is None else rows
+        raise ValueError(f"{name} must have shape ({n}, {d}), got {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"{name} must be finite")
+    return X
+
+
 class IntegrationError(Exception):
     def __init__(self, t_reached: float, msg: str):
         super().__init__(f"{msg} (integration reached t = {t_reached:.6g})")
@@ -77,9 +89,9 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
     grid ``X``; batched fields are inverted independently (their losses
     do not interact).  Returns ``(codes, final_loss)`` where codes is
     (k,) or (B, k) and final_loss the per-field reconstruction error at
-    the returned codes.  A NaN or infinity in ``u0`` raises
-    ``ValueError`` naming its position; a :class:`NonFiniteError`
-    names the inversion step it arose in.
+    the returned codes.  Before any step, ``ValueError`` names a NaN or
+    infinity in ``u0``, or an ``X`` that is not a finite (N, coord_dim)
+    array; a :class:`NonFiniteError` names the inversion step.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.ndim not in (2, 3):
@@ -92,6 +104,7 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
         where = f"row {row}, channel {channel}" + ("" if single else f" of field {field}")
         raise ValueError(f"u0 has a non-finite value at {where}: "
                          f"{batch[field, row, channel]}")
+    X = _check_grid("X", X, config.coord_dim, batch.shape[1])
     b = batch.shape[0]
     k = config.latent_dim
 
@@ -259,20 +272,20 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     The final decode runs in exact (row-stable) mode.  A siren decodes
     the times in blocks sized so that each hidden layer's array holds
     about ``_DECODE_ELEMENTS`` values; the result is bitwise equal to
-    decoding every time at once.
+    decoding every time at once, and a point's values do not depend on
+    the other query points.  A hyper decoder's product of the codes and
+    its affine map does not keep that: on 50 of the benchmark grid's
+    points, it differed from the full-grid forecast by up to 2.2e-16.
     """
     X = np.asarray(X)
     u0 = np.asarray(u0, dtype=np.float64)
     want = (len(X), model.decoder_config.out_channels)
     if u0.shape != want:
         raise ValueError(f"u0 must have shape {want} (one field on X), got {u0.shape}")
-    Xq = model.spec.grid.coords() if query_grid is None else np.asarray(query_grid)
     # before the inversion, which takes longest
-    d = model.decoder_config.coord_dim
-    if Xq.ndim != 2 or Xq.shape[1] != d:
-        raise ValueError(f"query_grid must have shape (N, {d}), got {Xq.shape}")
-    if not np.isfinite(Xq).all():
-        raise ValueError("query_grid must be finite")
+    Xq = _check_grid("query_grid",
+                     model.spec.grid.coords() if query_grid is None else query_grid,
+                     model.decoder_config.coord_dim)
     times = _check_times(None, times)
     _check_beta(model.dynamics_config, beta, 1)
     alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)
@@ -284,8 +297,8 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     cfg = model.decoder_config
     with no_grad():
         if cfg.architecture == "hyper":
-            # exact-mode affine map keeps the per-coordinate row contract
-            # while decoding all times with one product
+            # one product for all times, exact mode; it does not keep
+            # decode's per-point contract (see the docstring)
             A, c = affine_decomposition(cfg, dec_params, Xq)
             flat = dm.add(dm.matmul(constant(codes), A, True), c)
             fields = dm.reshape(

@@ -10,26 +10,22 @@ field values, one coordinate at a time (mesh-free):
   added by angle addition (``dm.sin_shift``), so its sines run once per
   grid point and once per code instead of once per (code, point) pair.
   :func:`grid_decoder` computes the grid part once for many codes.
-  Code tangents run the concatenated ``[x, alpha]`` first layer,
-  because each snapshot may bring its own points, and then one reverse
-  sweep per output channel back down to the code.
+  Code tangents come from ``decode`` of a ``DualBatch(alpha, T)``: the
+  concatenated ``[x, alpha]`` first layer, because each snapshot may
+  bring its own points, then one reverse sweep per output channel back
+  down to the code, contracted with the K tangent directions ``T``.
 * ``hyper`` - trig-modulated layers
   ``(W z + b + W' alpha) * [cos(freq x), sin(freq x)]`` where the latent
   code enters only through the per-layer bias shift ``W' alpha`` and the
   frequencies ``freq`` are trainable.  Because every layer is affine in
   ``alpha``, the whole decoder is an affine map of the code for a fixed
   grid; :func:`affine_decomposition` extracts that map, the value at
-  the zero code plus the code Jacobian from one dual decode, so
-  training and inversion can decode whole batches with a single matmul.
+  the zero code plus the code Jacobian from ``m`` reverse sweeps (one
+  per output channel), so training and inversion can decode whole
+  batches with a single matmul.
 
-Code tangents and Jacobians come from one call: ``decode`` of a
-``DualBatch(alpha, T)`` returns the field and its derivatives along the
-K tangent directions ``T``; with ``T = eye(k)`` (one unit tangent per
-latent) the tangents are the rows of the transposed Jacobian
-``du/dalpha``.  For both decoders they cost one value pass and ``m``
-reverse sweeps (one per output channel) plus one contraction with
-``T``, the only work that grows with K.  They are tape tensors, so the
-Jacobian stays differentiable in reverse mode (reverse-over-reverse).
+Both Jacobians are tape tensors, so they stay differentiable in reverse
+mode (reverse-over-reverse).
 
 The dynamics network is an MLP with the parameterized Swish activation
 ``x * sigmoid(x * softplus(omega))``; for parameterized PDEs a trainable
@@ -314,11 +310,15 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
     contractions 1.2-2.1x faster at width 64, by shape.
 
     A siren runs :func:`grid_decoder`.  Given a ``DualBatch(alpha, T)``
-    with tangents T of shape (K, *alpha.shape), ``decode`` returns
+    with tangents T of shape (K, *alpha.shape), a siren returns
     ``DualBatch(u, dU)``: the field and its K directional derivatives
-    along T, see :func:`_decode_dual`.
+    along T, see :func:`_decode_dual`; a hyper decoder's Jacobian is the
+    ``A`` of :func:`affine_decomposition`.
     """
     if isinstance(alpha, DualBatch):
+        if config.architecture == "hyper":
+            raise ValueError("decode takes no DualBatch for the hyper architecture: "
+                             "its code Jacobian is the A of affine_decomposition")
         return _decode_dual(config, params, alpha, X, fast)
     if config.architecture == "siren":
         return grid_decoder(config, params, X, fast)(alpha)
@@ -352,25 +352,19 @@ def _hyper_value(config: DecoderConfig, params: dict, alpha: Tensor,
 
 def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
                  X: np.ndarray, fast: bool) -> DualBatch:
-    """The field and its code tangents, by the chain rule written out.
+    """A siren's field and code tangents, by the chain rule written out.
 
     Every step is a tape op, so the tangents stay differentiable in
-    reverse mode.  Both decoders act pointwise with ``m`` outputs per
+    reverse mode.  The decoder acts pointwise with ``m`` outputs per
     point, so the code gradients come from ``m`` reverse (adjoint)
     sweeps, vectorized over the points, after one value pass.  That
     gives the (m, ..., n, k) gradient of each output with respect to the
     code, at the cost of ``m`` sweeps whatever the number of tangents;
     only the final contraction with the K tangents ``T`` scales with K.
 
-    Siren: seed ``g = out.W^T``, then per layer from the last down
-    ``g -> (g * cos(pre)) @ (omega0 W^T)``, with the first layer's code
-    rows ``W_a`` at the bottom.
-
-    Hyper: the code enters every layer through its bias shift
-    ``alpha @ Wm``, so seed ``g = out.W^T`` and ``grad = out.Wm^T``, then
-    per layer from the last down ``h = g * trig``, ``grad += h @ Wm^T``
-    and ``g = h @ W^T``.  The gradients do not depend on the code: a
-    batch of codes on a shared grid pays for one sweep.
+    The sweep seeds ``g = out.W^T``, then per layer from the last down
+    maps ``g -> (g * cos(pre)) @ (omega0 W^T)``, with the first layer's
+    code rows ``W_a`` at the bottom.
     """
     a = alpha.value
     xn = _normalized_coords(config, X)
@@ -378,37 +372,26 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
     rs = not fast
     m, lead = config.out_channels, len(shape) - 1
 
-    if config.architecture == "siren":
-        # value through the concatenated [x, alpha] first layer: every
-        # snapshot may come with its own points, so no grid part is shared
-        a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
-        omega0 = constant(np.float64(config.omega0))
-        n, d = xn.shape[-2], config.coord_dim
-        z = dm.concat([constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
-                       dm.matmul(constant(np.ones((n, 1))), a_row, rs)], axis=-1)
-        pres = []
-        for i in range(config.layers):
-            pres.append(dm.mul(dm.add(dm.matmul(z, params[f"l{i}.W"], rs),
-                                      params[f"l{i}.b"]), omega0))
-            z = dm.sin(pres[-1])
-        u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
-        # one adjoint per output channel, (m, ..., 1, width), broadcast
-        # over the points by the first cos(pre)
-        g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
-        W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
-        for i in reversed(range(config.layers)):
-            W = params[f"l{i}.W"] if i else W_a
-            g = dm.matmul(dm.mul(g, dm.cos(pres[i])), dm.mul(dm.transpose(W), omega0), rs)
-    else:
-        u, trigs = _hyper_value(config, params, a, xn, rs)
-        g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
-        grad = dm.reshape(dm.transpose(params["out.Wm"]), (m, *(1,) * lead, 1, shape[-1]))
-        for i in reversed(range(config.layers)):
-            h = dm.mul(g, trigs[i])
-            grad = dm.add(grad, dm.matmul(h, dm.transpose(params[f"l{i}.Wm"]), rs))
-            if i:
-                g = dm.matmul(h, dm.transpose(params[f"l{i}.W"]), rs)
-        g = grad
+    # value through the concatenated [x, alpha] first layer: every
+    # snapshot may come with its own points, so no grid part is shared
+    a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
+    omega0 = constant(np.float64(config.omega0))
+    n, d = xn.shape[-2], config.coord_dim
+    z = dm.concat([constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
+                   dm.matmul(constant(np.ones((n, 1))), a_row, rs)], axis=-1)
+    pres = []
+    for i in range(config.layers):
+        pres.append(dm.mul(dm.add(dm.matmul(z, params[f"l{i}.W"], rs),
+                                  params[f"l{i}.b"]), omega0))
+        z = dm.sin(pres[-1])
+    u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
+    # one adjoint per output channel, (m, ..., 1, width), broadcast
+    # over the points by the first cos(pre)
+    g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
+    W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
+    for i in reversed(range(config.layers)):
+        W = params[f"l{i}.W"] if i else W_a
+        g = dm.matmul(dm.mul(g, dm.cos(pres[i])), dm.mul(dm.transpose(W), omega0), rs)
     # contract the (m, ..., n, k) code gradients with T^T (..., k, K)
     T_t = dm.transpose(alpha.tangent, (*range(1, lead + 2), 0))
     dU = dm.matmul(g, T_t, rs)  # (m, ..., n, K)
@@ -422,10 +405,15 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
     Returns ``(A, c)`` with ``A`` of shape (k, N*m) and ``c`` of shape
     (N*m,), both tape tensors.  Exact for the hyper architecture, whose
     layers are affine in the code; rejected for siren.  ``X`` is one
-    grid of shape (N, d).  ``c`` is the decode of the zero code and
-    ``A`` its code Jacobian, from one dual decode with unit tangents:
-    one value pass plus ``m`` reverse sweeps.  Decoding a batch then
-    costs one (B, k) x (k, N*m) matmul instead of B network passes.
+    grid of shape (N, d).  Decoding a batch then costs one
+    (B, k) x (k, N*m) matmul instead of B network passes.
+
+    ``c`` is the value at the zero code, whose pass also gives each
+    layer's modulation ``trig``.  The code enters every layer only
+    through its bias shift ``alpha @ Wm``, so the code Jacobian ``A``
+    takes one reverse sweep per output channel: seed ``g = out.W^T`` and
+    ``grad = out.Wm^T``, then per layer from the last down
+    ``h = g * trig``, ``grad += h @ Wm^T`` and ``g = h @ W^T``.
     """
     if config.architecture != "hyper":
         raise ValueError("affine decomposition requires the hyper architecture")
@@ -435,11 +423,20 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
             f"affine decomposition needs one grid of shape (N, {config.coord_dim}), "
             f"got coordinates of shape {X.shape}"
         )
-    k = config.latent_dim
-    out = decode(config, params, DualBatch(constant(np.zeros(k)), constant(np.eye(k))),
-                 X, fast=fast)
-    nm = out.value.shape[0] * out.value.shape[1]
-    return dm.reshape(out.tangent, (k, nm)), dm.reshape(out.value, (nm,))
+    xn = _normalized_coords(config, X)
+    rs = not fast
+    k, m = config.latent_dim, config.out_channels
+    u, trigs = _hyper_value(config, params, constant(np.zeros(k)), xn, rs)
+    g = dm.reshape(dm.transpose(params["out.W"]), (m, 1, config.width))
+    grad = dm.reshape(dm.transpose(params["out.Wm"]), (m, 1, k))
+    for i in reversed(range(config.layers)):
+        h = dm.mul(g, trigs[i])
+        grad = dm.add(grad, dm.matmul(h, dm.transpose(params[f"l{i}.Wm"]), rs))
+        if i:
+            g = dm.matmul(h, dm.transpose(params[f"l{i}.W"]), rs)
+    nm = u.shape[0] * m
+    # (m, N, k) -> (k, N, m), so that column n*m + j of A is output j at point n
+    return dm.reshape(dm.transpose(grad, (2, 1, 0)), (k, nm)), dm.reshape(u, (nm,))
 
 
 def _check_beta(config: DynamicsConfig, beta, codes: int) -> None:

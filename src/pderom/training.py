@@ -50,36 +50,29 @@ logger = logging.getLogger("pderom.training")
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+# lr_at's schedule, and the decay of the matrices that decays_weight picks
+LR0 = 0.005
+DECAY_RATE = 0.985
+DECAY_EVERY = 50
+WEIGHT_DECAY = 1e-4
+CHECKPOINT_EVERY = 500  # epochs between train's checkpoints, besides the last
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
     epochs: int
     warmup_epochs: int
-    lr0: float = 0.005
-    decay_rate: float = 0.985
-    decay_every: int = 50
     batch_size: int = 64
     lam: float = 0.5
     gamma: float = 0.1
     seed: int = 0
-    weight_decay: float = 1e-4
-    checkpoint_every: int = 500
 
     def __post_init__(self):
-        _check_counts(self, ("epochs", "warmup_epochs", "decay_every", "batch_size",
-                             "seed", "checkpoint_every"))
-        for name in ("epochs", "decay_every", "checkpoint_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        _check_counts(self, ("epochs", "warmup_epochs", "batch_size", "seed"))
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if not 0 <= self.warmup_epochs <= self.epochs:
             raise ValueError("warmup_epochs must lie in [0, epochs]")
-        if not 0 < self.lr0 < np.inf:
-            raise ValueError("lr0 must be positive and finite")
-        if not 0.0 < self.decay_rate <= 1.0:
-            raise ValueError("decay_rate must lie in (0, 1]")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.lam <= 1.0:
@@ -88,11 +81,11 @@ class TrainingConfig:
             raise ValueError("gamma must lie in (0, 1]")
 
 
-def lr_at(epoch: int, config: TrainingConfig) -> float:
-    """Stepped exponential decay: lr0 * rate^(epoch // every)."""
+def lr_at(epoch: int) -> float:
+    """Stepped exponential decay: ``LR0 * DECAY_RATE ** (epoch // DECAY_EVERY)``."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return config.lr0 * config.decay_rate ** (epoch // config.decay_every)
+    return LR0 * DECAY_RATE ** (epoch // DECAY_EVERY)
 
 
 def decays_weight(name: str) -> bool:
@@ -179,9 +172,10 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
 
     ``dataset`` provides training trajectories on an observation grid
     that may be the full solver grid or a fixed sparse subset of it; the
-    dynamics loss always reconstructs on the full solver grid.  Writes a
-    checkpoint every ``checkpoint_every`` epochs when ``out_dir`` is
-    given, plus the final model.  Every epoch logs its learning rate,
+    dynamics loss always reconstructs on the full solver grid.  When
+    ``out_dir`` is given, writes ``checkpoint-<epochs done>.pdrm`` every
+    ``CHECKPOINT_EVERY`` epochs and after the last epoch, and keeps the
+    latest one as ``model.pdrm`` too.  Every epoch logs its learning rate,
     mean losses and elapsed time on the ``pderom.training`` logger at
     INFO; the logger's level switches it.
 
@@ -240,7 +234,7 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     history = {"epoch": [], "lr": [], "rec": [], "dyn": []}
     started = time.perf_counter()
     for epoch in range(config.epochs):
-        lr = lr_at(epoch, config)
+        lr = lr_at(epoch)
         warmup = epoch < config.warmup_epochs
         perm = rng_shuffle.permutation(n_total)
         rec_sum = dyn_sum = 0.0
@@ -266,7 +260,7 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
                 err.args = (f"{err} (epoch {epoch}, batch rows {rows.tolist()})",)
                 raise
             joint, state = adamw_step(
-                joint, dict(zip(names, grads)), state, lr, config.weight_decay
+                joint, dict(zip(names, grads)), state, lr, WEIGHT_DECAY
             )
             rec_sum += float(rec.data) * b
             dyn_sum += float(dyn.data) * b
@@ -280,7 +274,7 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
             time.perf_counter() - started,
         )
         if out_dir is not None and (
-            (epoch + 1) % config.checkpoint_every == 0 or epoch == config.epochs - 1
+            (epoch + 1) % CHECKPOINT_EVERY == 0 or epoch == config.epochs - 1
         ):
             _checkpoint(
                 _model(joint, history, dataset, decoder_config, dynamics_config, config),

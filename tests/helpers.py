@@ -128,7 +128,8 @@ def siren_tangents_forward(config, params, alpha, T, X, fast=False):
 def hyper_tangents_forward(config, params, alpha, T, X, fast=False):
     """Hyper field and code tangents in forward mode, one copy per tangent.
 
-    The reference for ``decode`` of a ``DualBatch(alpha, T)``.  The value
+    The reference for ``affine_decomposition`` (``A`` is the tangent
+    along the unit codes, ``c`` the value at the zero code).  The value
     restates the library's ops in its order, without running its code:
     each layer is ``z W + b + alpha Wm``, and hidden layers multiply it by
     ``[cos(xn freq^T), sin(xn freq^T)]``.  The code enters every layer

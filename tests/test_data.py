@@ -373,7 +373,7 @@ class TestContainer:
     # each key is a field with a default, which used to fill in when missing
     @pytest.mark.parametrize("config,key", [("decoder_config", "omega0"),
                                             ("dynamics_config", "param_dim"),
-                                            ("training_config", "checkpoint_every")])
+                                            ("training_config", "seed")])
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_config_keys_must_match_fields(self, tmp_path, config, key, change):
         path = tmp_path / "m.pdrm"
@@ -407,14 +407,17 @@ class TestContainer:
         with pytest.raises(FormatError, match="hi > lo|coord_hi must exceed"):
             load(path)
 
-    @pytest.mark.parametrize("key,value", [("decay_rate", 0.0),
-                                           ("weight_decay", -1e-4), ("lr0", float("nan")),
-                                           ("lr0", float("inf")),
-                                           ("weight_decay", float("nan"))])
-    def test_out_of_range_optimizer_value_raises_format_error(self, tmp_path, key, value):
+    @pytest.mark.parametrize("key,value,match", [
+        ("lam", float("nan"), r"lam must lie in \[0, 1\]"),
+        ("lam", 1.5, r"lam must lie in \[0, 1\]"),
+        ("gamma", 0.0, r"gamma must lie in \(0, 1\]"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+    ], ids=["lam-nan", "lam-1.5", "gamma-0.0", "batch_size-0"])
+    def test_out_of_range_training_value_raises_format_error(self, tmp_path, key, value,
+                                                             match):
         path, load = saved_container(tmp_path, "model")
         edit_keys(path, ["training_config"], key, value)
-        with pytest.raises(FormatError, match=key):
+        with pytest.raises(FormatError, match=match):
             load(path)
 
     @pytest.mark.parametrize("where,key,value", [(["decoder_config"], "width", 12.0),
@@ -446,15 +449,16 @@ class TestContainer:
         with pytest.raises(FormatError, match=match):
             load(path)
 
+    # version 3 headers held five more training settings
     def test_older_format_version_raises_format_error(self, tmp_path):
         for kind in ("dataset", "model"):
             path, load = saved_container(tmp_path, kind)
             blob = path.read_bytes()
-            assert blob[8:12] == np.uint32(3).tobytes()
-            for version in (1, 2):
+            assert blob[8:12] == np.uint32(4).tobytes()
+            for version in (1, 2, 3):
                 path.write_bytes(blob[:8] + np.uint32(version).tobytes() + blob[12:])
                 with pytest.raises(FormatError, match=f"unsupported format version "
-                                                      f"{version}; expected 3"):
+                                                      f"{version}; expected 4"):
                     load(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):

@@ -24,6 +24,8 @@ from helpers import expm
 
 HYPER = DecoderConfig("hyper", latent_dim=3, layers=1, width=8, coord_dim=1,
                       coord_lo=(0.0,), coord_hi=(1.0,))
+SIREN = DecoderConfig("siren", latent_dim=3, layers=1, width=8, coord_dim=1,
+                      coord_lo=(0.0,), coord_hi=(1.0,))
 
 
 def test_non_finite_field_names_the_inversion_step():
@@ -60,6 +62,26 @@ def test_invert_rejects_fields_of_other_ranks(shape):
     with pytest.raises(ValueError, match=rf"u0 must have shape \(N, m\) or \(B, N, m\), "
                                          rf"got {re.escape(str(shape))}"):
         invert(HYPER, {}, np.full(shape, np.nan), np.linspace(0.0, 1.0, 20)[:, None])
+
+
+@pytest.mark.parametrize("arch", ["hyper", "siren"])
+@pytest.mark.parametrize("u0_shape", [(20, 1), (2, 20, 1)], ids=["field", "batch"])
+@pytest.mark.parametrize("X,match", [
+    (np.zeros((20, 2)), r"X must have shape \(20, 1\), got \(20, 2\)"),
+    (np.zeros(20), r"X must have shape \(20, 1\), got \(20,\)"),
+    (np.zeros((19, 1)), r"X must have shape \(20, 1\), got \(19, 1\)"),
+    (np.r_[np.full(19, 0.5), np.nan][:, None], "X must be finite"),
+    (np.r_[np.inf, np.full(19, 0.5)][:, None], "X must be finite"),
+], ids=["2-columns", "1-d", "19-rows", "nan", "inf"])
+def test_invert_checks_X_before_the_grid_is_bound(monkeypatch, arch, u0_shape, X, match):
+    def grid_decoder(*args, **kwargs):
+        raise AssertionError("invert bound the grid before checking X")
+
+    monkeypatch.setattr(inference, "grid_decoder", grid_decoder)
+    config = HYPER if arch == "hyper" else SIREN
+    params = {k: v.data for k, v in init_decoder(config, seed=0).items()}
+    with pytest.raises(ValueError, match=match):
+        invert(config, params, np.ones(u0_shape), X)
 
 
 @pytest.mark.parametrize("steps", [10.5, 10.0, True])
@@ -206,10 +228,10 @@ def trained(tmp_path_factory):
     return ds, models
 
 
-def _forecast(ds, model, n_times=12):
+def _forecast(ds, model, n_times=12, query_grid=None):
     traj = ds.test[0]
     times = ds.snapshot_dt * np.arange(n_times)
-    return forecast(model, traj.snapshots[0], ds.obs_coords, times,
+    return forecast(model, traj.snapshots[0], ds.obs_coords, times, query_grid=query_grid,
                     inversion=InversionConfig(steps=20))
 
 
@@ -236,6 +258,16 @@ def test_blocked_siren_decode_is_bitwise_equal(trained, monkeypatch):
     blocked = _forecast(ds, model)
     assert calls == [5, 5, 2]
     assert blocked.tobytes() == whole.tobytes()
+
+
+def test_siren_forecast_rows_follow_a_permuted_query_grid(trained):
+    # each query point's values do not depend on the other query points
+    ds, models = trained
+    model = models["siren"][0]
+    pick = np.random.default_rng(23).permutation(ds.spec.grid.num_points)[:50]
+    full = _forecast(ds, model)
+    sub = _forecast(ds, model, query_grid=ds.spec.grid.coords()[pick])
+    assert sub.tobytes() == np.ascontiguousarray(full[:, pick]).tobytes()
 
 
 @pytest.mark.parametrize("arch", ["hyper", "siren"])

@@ -63,19 +63,26 @@ def test_dynamics_config_rejects_non_integer_counts(field, value):
 
 
 def library_jacobian(config, params, alpha, X):
-    """(N*m, k) code Jacobian from the library: ``decode`` of a ``DualBatch``."""
+    """(N*m, k) code Jacobian from the library: the transposed ``A`` of
+    the affine map for hyper, ``decode`` of a ``DualBatch`` for siren."""
+    if config.architecture == "hyper":
+        return dm.transpose(affine_decomposition(config, params, X)[0])
     k = config.latent_dim
     out = decode(config, params, dm.DualBatch(dm.as_tensor(alpha), constant(np.eye(k))), X)
     return dm.transpose(dm.reshape(out.tangent, (k, -1)))
 
 
-def check_tangents_match_forward_mode(arch, m, layers, batched_grid, K, fast):
+def tangent_config(arch, m, layers):
+    """A decoder with k = 5 for the forward-mode comparisons."""
+    return DecoderConfig(arch, latent_dim=5, layers=layers, width=12, coord_dim=2,
+                         out_channels=m, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+
+
+def check_siren_tangents_match_forward_mode(m, layers, batched_grid, K, fast):
     """``decode`` of a ``DualBatch`` against the forward-mode reference:
     values bitwise, tangents within 1e-13 relative."""
     # K = 5 is the code dimension, so K runs below, at and above k
-    config = DecoderConfig(arch, latent_dim=5, layers=layers, width=12, coord_dim=2,
-                           out_channels=m, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
-    forward = siren_tangents_forward if arch == "siren" else hyper_tangents_forward
+    config = tangent_config("siren", m, layers)
     params = init_decoder(config, seed=m + 10 * layers)
     rng = np.random.default_rng(K)
     B, n = 3, 9
@@ -85,7 +92,7 @@ def check_tangents_match_forward_mode(arch, m, layers, batched_grid, K, fast):
         alpha = constant(rng.normal(size=shape) * 0.4)
         T = constant(rng.normal(size=(K, *shape)))
         out = decode(config, params, dm.DualBatch(alpha, T), X, fast=fast)
-        u, dU = forward(config, params, alpha, T, X, fast=fast)
+        u, dU = siren_tangents_forward(config, params, alpha, T, X, fast=fast)
         assert out.value.data.tobytes() == u.data.tobytes()
         assert out.tangent.shape == dU.shape == (K, *shape[:-1], n, m)
         err = np.abs(out.tangent.data - dU.data).max() / np.abs(dU.data).max()
@@ -184,8 +191,12 @@ class TestDecode:
         with pytest.raises(ValueError, match="coordinates have dimension"):
             decode(config, params, constant(alpha), np.zeros((5, 3)))
 
-    @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
-    @pytest.mark.parametrize("code_shape", [(3,), (1,), ()], ids=["3", "1", "single"])
+    # dual codes go to the siren alone: a hyper decode takes no DualBatch
+    @pytest.mark.parametrize("setup,code_shape,dual", [
+        pytest.param(arch, shape, dual, id=f"{arch}-{sid}-{'dual' if dual else 'plain'}")
+        for arch in ("siren", "hyper") for dual in (False, True)
+        for shape, sid in (((3,), "3"), ((1,), "1"), ((), "single"))
+        if not (dual and arch == "hyper")], indirect=["setup"])
     def test_code_batch_must_match_per_snapshot_grids(self, setup, code_shape, dual):
         config, params, X, _ = setup
         k = config.latent_dim
@@ -424,7 +435,7 @@ class TestJacobian:
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
     def test_siren_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
-        check_tangents_match_forward_mode("siren", m, layers, batched_grid, K, fast)
+        check_siren_tangents_match_forward_mode(m, layers, batched_grid, K, fast)
 
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     def test_siren_tangent_rows_follow_a_permutation_of_the_points(self, batched_grid):
@@ -442,12 +453,27 @@ class TestJacobian:
         assert out_p.tangent.data.tobytes() == out.tangent.data[:, :, perm].tobytes()
 
     @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
-    @pytest.mark.parametrize("K", [1, 3, 5, 11])
-    @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_hyper_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
-        check_tangents_match_forward_mode("hyper", m, layers, batched_grid, K, fast)
+    def test_hyper_tangents_match_forward_mode(self, m, layers, fast):
+        # A against the forward-mode tangents along the k unit codes on a
+        # shared grid, within 1e-13 relative; c is the zero code's value
+        config = tangent_config("hyper", m, layers)
+        params = init_decoder(config, seed=m + 10 * layers)
+        X = np.random.default_rng(5).uniform(0.0, 1.0, size=(9, 2))
+        A, c = affine_decomposition(config, params, X, fast=fast)
+        u, dU = hyper_tangents_forward(config, params, constant(np.zeros(5)),
+                                       constant(np.eye(5)), X, fast=fast)
+        assert A.shape == (5, 9 * m) and c.shape == (9 * m,)
+        assert c.data.tobytes() == u.data.reshape(-1).tobytes()
+        want = dU.data.reshape(5, 9 * m)
+        assert np.abs(A.data - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_hyper_decode_takes_no_dual_batch(self):
+        params = init_decoder(HYPER, seed=4)
+        dual = dm.DualBatch(constant(np.zeros(4)), constant(np.eye(4)))
+        with pytest.raises(ValueError, match="affine_decomposition"):
+            decode(HYPER, params, dual, np.zeros((5, 2)))
 
     def test_affine_decomposition_matches_decode(self):
         rng = np.random.default_rng(12)

@@ -37,9 +37,9 @@ def assert_same_model(a, b):
         assert x.tobytes() == y.tobytes(), what
 
 
-def test_reruns_and_checkpoints_are_bitwise_equal(tmp_path, tiny):
-    cfg = TrainingConfig(epochs=3, warmup_epochs=1, batch_size=8, seed=5,
-                         checkpoint_every=2)
+def test_reruns_and_checkpoints_are_bitwise_equal(tmp_path, tiny, monkeypatch):
+    monkeypatch.setattr(training, "CHECKPOINT_EVERY", 2)
+    cfg = TrainingConfig(epochs=3, warmup_epochs=1, batch_size=8, seed=5)
     first = train(tiny, DEC, DYN, cfg, out_dir=tmp_path / "a")
     second = train(tiny, DEC, DYN, cfg, out_dir=tmp_path / "b")
     assert_same_model(first, second)
@@ -82,20 +82,14 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
     assert 3 in rows and len(rows) <= 8
 
 
-# the optimizer values stall the schedule or the update, or grow the weights
-@pytest.mark.parametrize("field,value", [("epochs", 0), ("decay_every", 0),
-                                         ("checkpoint_every", 0), ("warmup_epochs", -1),
-                                         ("decay_rate", 0.0),
-                                         ("weight_decay", -1e-4), ("lr0", np.nan),
-                                         ("lr0", np.inf), ("weight_decay", np.nan)])
+@pytest.mark.parametrize("field,value", [("epochs", 0), ("warmup_epochs", -1)])
 def test_config_rejects_out_of_range_epoch_counts(field, value):
     with pytest.raises(ValueError, match=field):
         TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
 
 
 @pytest.mark.parametrize("field,value", [("epochs", 2.5), ("batch_size", 32.0),
-                                         ("warmup_epochs", True), ("seed", "0"),
-                                         ("decay_every", np.float64(10.0))])
+                                         ("warmup_epochs", True), ("seed", "0")])
 def test_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         TrainingConfig(**{"epochs": 2, "warmup_epochs": 0, field: value})
@@ -176,10 +170,11 @@ def test_adamw_step_rejects_a_gradient_of_another_shape():
 
 
 def test_lr_at_steps_down_every_decay_every_epochs():
-    cfg = TrainingConfig(epochs=1, warmup_epochs=0, lr0=0.01, decay_rate=0.5, decay_every=7)
-    assert [lr_at(e, cfg) for e in (0, 6, 7, 21)] == [0.01, 0.01, 0.005, 0.00125]
+    lr0, rate = training.LR0, training.DECAY_RATE
+    epochs = [0, training.DECAY_EVERY - 1, training.DECAY_EVERY, 3 * training.DECAY_EVERY]
+    assert [lr_at(e) for e in epochs] == [lr0, lr0, lr0 * rate, lr0 * rate**3]
     with pytest.raises(ValueError, match="epoch must be >= 0"):
-        lr_at(-1, cfg)
+        lr_at(-1)
 
 
 def test_decays_weight_selects_the_matrices():
