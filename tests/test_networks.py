@@ -453,21 +453,43 @@ class TestJacobian:
         assert out_p.tangent.data.tobytes() == out.tangent.data[:, :, perm].tobytes()
 
     @pytest.mark.parametrize("fast", [False, True], ids=["exact", "fast"])
+    @pytest.mark.parametrize("K", [1, 3, 5, 11])
+    @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("m", [1, 2])
-    def test_hyper_tangents_match_forward_mode(self, m, layers, fast):
-        # A against the forward-mode tangents along the k unit codes on a
-        # shared grid, within 1e-13 relative; c is the zero code's value
+    def test_hyper_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
+        # A against the forward-mode tangents: along the k unit codes, and
+        # as the map T @ A along K random directions (K = 5 is the code
+        # dimension, so K runs below, at and above k), within 1e-13
+        # relative; c is the zero code's value, and decode's value is
+        # bitwise the reference's.  An own grid per snapshot takes one A each.
         config = tangent_config("hyper", m, layers)
         params = init_decoder(config, seed=m + 10 * layers)
-        X = np.random.default_rng(5).uniform(0.0, 1.0, size=(9, 2))
-        A, c = affine_decomposition(config, params, X, fast=fast)
-        u, dU = hyper_tangents_forward(config, params, constant(np.zeros(5)),
-                                       constant(np.eye(5)), X, fast=fast)
-        assert A.shape == (5, 9 * m) and c.shape == (9 * m,)
-        assert c.data.tobytes() == u.data.reshape(-1).tobytes()
-        want = dU.data.reshape(5, 9 * m)
-        assert np.abs(A.data - want).max() <= 1e-13 * np.abs(want).max()
+        rng = np.random.default_rng(K)
+        B, n = 3, 9
+        X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
+        grids = list(X) if batched_grid else [X]
+        maps = [affine_decomposition(config, params, Xb, fast=fast) for Xb in grids]
+        for Xb, (A, c) in zip(grids, maps):
+            u, dU = hyper_tangents_forward(config, params, constant(np.zeros(5)),
+                                           constant(np.eye(5)), Xb, fast=fast)
+            assert A.shape == (5, n * m) and c.shape == (n * m,)
+            assert c.data.tobytes() == u.data.reshape(-1).tobytes()
+            want = dU.data.reshape(5, n * m)
+            assert np.abs(A.data - want).max() <= 1e-13 * np.abs(want).max()
+        code_shapes = [(B, 5)] if batched_grid else [(5,), (B, 5)]
+        for shape in code_shapes:
+            alpha = constant(rng.normal(size=shape) * 0.4)
+            T = rng.normal(size=(K, *shape))
+            u, dU = hyper_tangents_forward(config, params, alpha, constant(T), X, fast=fast)
+            assert decode(config, params, alpha, X, fast=fast).data.tobytes() == u.data.tobytes()
+            if batched_grid:
+                got = np.stack([T[:, b] @ A.data for b, (A, _) in enumerate(maps)], axis=1)
+            else:
+                got = T @ maps[0][0].data
+            got = got.reshape(K, *shape[:-1], n, m)
+            assert dU.shape == got.shape
+            assert np.abs(got - dU.data).max() <= 1e-13 * np.abs(dU.data).max()
 
     def test_hyper_decode_takes_no_dual_batch(self):
         params = init_decoder(HYPER, seed=4)
