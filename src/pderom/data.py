@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 MAGIC = b"PDROMBIN"
-VERSION = 4
+VERSION = 5
 
 BURGERS_TRAIN_MU = (0.015, 0.0171, 0.0193, 0.0214, 0.0236, 0.0257, 0.0279, 0.03)
 BURGERS_TEST_MU = (0.0129, 0.0161, 0.0182, 0.0204, 0.0225, 0.0246, 0.0268,
@@ -60,12 +60,14 @@ class FormatError(Exception):
 
 @dataclass
 class Trajectory:
-    snapshots: np.ndarray  # (T+1, N, m), time-ordered
+    """One trajectory of scalar fields: ``snapshots`` must be (T+1, N, 1)."""
+
+    snapshots: np.ndarray  # (T+1, N, 1), time-ordered
     beta: np.ndarray  # (p,), empty for unparameterized problems
 
     def __post_init__(self):
-        if self.snapshots.ndim != 3:
-            raise ValueError("snapshots must be (T+1, N, m)")
+        if self.snapshots.ndim != 3 or self.snapshots.shape[2] != 1:
+            raise ValueError(f"snapshots must be (T+1, N, 1), got {self.snapshots.shape}")
 
 
 @dataclass
@@ -76,8 +78,9 @@ class Dataset:
     ``seed`` is an integer and ``snapshot_dt`` positive and finite.
     Every train trajectory holds at least t_train + 1 snapshots and
     every test trajectory at least t_test + 1.  Every snapshot array has
-    one row per grid point on axis 1; ``obs_indices``, when set, are
-    unique grid indices in [0, N).
+    one row per grid point on axis 1 and one channel on axis 2 (see
+    :class:`Trajectory`); ``obs_indices``, when set, are unique grid
+    indices in [0, N).
     """
 
     spec: SolverSpec

@@ -2,10 +2,10 @@
 
 :func:`pderom.networks.decode` of a siren takes a :class:`DualBatch` of
 a code and its tangent directions and returns one of the field and its
-directional derivatives: with one unit tangent per latent, the (k, N, m)
-transposed Jacobian.  The decoder runs ``m`` reverse sweeps (one per
-output channel) and contracts them with the tangents, so no work beyond
-that last contraction grows with ``k``.  The tangents are ordinary tape
+directional derivatives: with one unit tangent per latent, the (k, N, 1)
+transposed Jacobian.  The decoder runs one reverse sweep and contracts
+it with the tangents, so no work beyond that last contraction grows
+with ``k``.  The tangents are ordinary tape
 tensors, so the training loss can differentiate through the Jacobian.
 The hyper decoder's Jacobian is the map of
 :func:`pderom.networks.affine_decomposition` instead.

@@ -2,16 +2,16 @@
 
 A new initial condition enters the latent space by inversion: minimize
 the reconstruction error over the code with AdamW from a zero start,
-observing the field on whatever grid is available (full, sparse, or
+``INVERSION_STEPS`` steps at learning rate ``INVERSION_LR``, observing
+the scalar field on whatever grid is available (full, sparse, or
 irregular).  Inversion happens once per forecast; time evolution then
 runs entirely in latent space with an adaptive embedded Runge-Kutta
-3(2) pair (the Bogacki-Shampine coefficients, FSAL), and any query grid
-can be decoded at any target time.
+3(2) pair (the Bogacki-Shampine coefficients, FSAL) at tolerances
+``RTOL`` and ``ATOL``, and any query grid can be decoded at any target
+time.  The four settings are module constants, read at call time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .networks import (
     DecoderConfig,
     DynamicsConfig,
     _check_beta,
-    _check_counts,
     affine_decomposition,
     decode,
     dynamics_eval,
@@ -31,36 +30,18 @@ from .networks import (
 from .training import Model, adamw_init, adamw_step
 
 __all__ = [
-    "InversionConfig",
-    "IntegratorConfig",
     "IntegrationError",
     "invert",
     "integrate",
     "forecast",
 ]
 
-
-@dataclass(frozen=True)
-class InversionConfig:
-    steps: int = 1000
-    lr: float = 0.1
-
-    def __post_init__(self):
-        _check_counts(self, ("steps",))
-        if self.steps < 1:
-            raise ValueError("inversion needs at least one step")
-        if not 0 < self.lr < np.inf:
-            raise ValueError("inversion lr must be positive and finite")
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    rtol: float = 1e-5
-    atol: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.rtol < np.inf and 0 < self.atol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+# inversion: AdamW steps and learning rate, from a zero code
+INVERSION_STEPS = 1000
+INVERSION_LR = 0.1
+# integration: relative and absolute tolerances of the error estimate
+RTOL = 1e-5
+ATOL = 1e-6
 
 
 def _check_grid(name: str, X, d: int, rows=None) -> np.ndarray:
@@ -81,21 +62,22 @@ class IntegrationError(Exception):
         self.t_reached = t_reached
 
 
-def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
-           inversion: InversionConfig = InversionConfig()):
+def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray):
     """Latent code(s) minimizing reconstruction error of observed fields.
 
-    ``u0`` is (N, m) for one field or (B, N, m) for a batch sharing the
+    ``u0`` is (N, 1) for one field or (B, N, 1) for a batch sharing the
     grid ``X``; batched fields are inverted independently (their losses
-    do not interact).  Returns ``(codes, final_loss)`` where codes is
+    do not interact).  Runs ``INVERSION_STEPS`` AdamW steps at
+    ``INVERSION_LR``.  Returns ``(codes, final_loss)`` where codes is
     (k,) or (B, k) and final_loss the per-field reconstruction error at
     the returned codes.  Before any step, ``ValueError`` names a NaN or
-    infinity in ``u0``, or an ``X`` that is not a finite (N, coord_dim)
-    array; a :class:`NonFiniteError` names the inversion step.
+    infinity in ``u0``, a ``u0`` with more than one channel, or an ``X``
+    that is not a finite (N, coord_dim) array; a :class:`NonFiniteError`
+    names the inversion step.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.ndim not in (2, 3):
-        raise ValueError(f"u0 must have shape (N, m) or (B, N, m), got {u0.shape}")
+        raise ValueError(f"u0 must have shape (N, 1) or (B, N, 1), got {u0.shape}")
     single = u0.ndim == 2
     batch = u0[None] if single else u0
     bad = np.argwhere(~np.isfinite(batch))
@@ -104,6 +86,8 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
         where = f"row {row}, channel {channel}" + ("" if single else f" of field {field}")
         raise ValueError(f"u0 has a non-finite value at {where}: "
                          f"{batch[field, row, channel]}")
+    if u0.shape[-1] != 1:
+        raise ValueError(f"u0 must have one channel on its last axis, got shape {u0.shape}")
     X = _check_grid("X", X, config.coord_dim, batch.shape[1])
     b = batch.shape[0]
     k = config.latent_dim
@@ -116,7 +100,7 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
 
     alpha = {"alpha": Tensor(np.zeros((b, k)), requires_grad=True)}
     state = adamw_init(alpha)
-    for step in range(inversion.steps):
+    for step in range(INVERSION_STEPS):
         try:
             loss_rows = field_rnmse(predict(alpha["alpha"]), batch)
             loss = dm.sum_(loss_rows)  # rows are independent; sum decouples
@@ -124,7 +108,7 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray,
         except NonFiniteError as err:
             err.args = (f"{err} (inversion step {step})",)
             raise
-        alpha, state = adamw_step(alpha, {"alpha": g}, state, inversion.lr, 0.0)
+        alpha, state = adamw_step(alpha, {"alpha": g}, state, INVERSION_LR, 0.0)
     with no_grad():
         final = field_rnmse(predict(alpha["alpha"]), batch).data
     codes = alpha["alpha"].data
@@ -170,17 +154,17 @@ def _check_times(t0, targets) -> np.ndarray:
 
 
 def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
-              t0: float, targets, beta=None,
-              integrator: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+              t0: float, targets, beta=None) -> np.ndarray:
     """Adaptive RK3(2) integration of the latent dynamics to each target.
 
     ``t0`` and ``targets`` must be finite, ``targets`` sorted, all >= t0.
     Dense output between accepted steps is the cubic Hermite
     interpolant, third-order accurate for this pair.  Step sizes follow
     a PI controller on the embedded error estimate with rejection when
-    the estimate exceeds tolerance; the first step goes to the first
-    target after ``t0``.
-    ``alpha0`` is one code, shape (latent_dim,).
+    the estimate exceeds the tolerance ``ATOL + RTOL * |alpha|``; the
+    first step goes to the first target after ``t0``.
+    ``alpha0`` is one code, shape (latent_dim,).  A
+    :class:`NonFiniteError` names the time the integration reached.
     """
     alpha0 = np.asarray(alpha0, dtype=np.float64)
     if alpha0.shape != (config.latent_dim,):
@@ -193,8 +177,13 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
     beta_t = None if beta is None else constant(np.asarray(beta, dtype=np.float64))
 
     def f(y: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return dynamics_eval(config, tparams, constant(y), beta_t).data
+        try:
+            with no_grad():
+                return dynamics_eval(config, tparams, constant(y), beta_t).data
+        except NonFiniteError as err:
+            # t is the last accepted time, as IntegrationError reports it
+            err.args = (f"{err} (integration reached t = {t:.6g})",)
+            raise
 
     out = np.empty((len(targets), config.latent_dim))
     write = 0
@@ -224,7 +213,7 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
             _BS_B_ERR[0] * k1 + _BS_B_ERR[1] * k2
             + _BS_B_ERR[2] * k3 + _BS_B_ERR[3] * k4
         )
-        scale = integrator.atol + integrator.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        scale = ATOL + RTOL * np.maximum(np.abs(y), np.abs(y_new))
         # clamped like err_prev: a zero estimate has no negative power
         err = max(float(np.sqrt(np.mean((err_vec / scale) ** 2))), 1e-10)
 
@@ -253,21 +242,20 @@ def integrate(config: DynamicsConfig, params: dict, alpha0: np.ndarray,
 
 
 def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
-             query_grid: np.ndarray | None = None, beta=None,
-             inversion: InversionConfig = InversionConfig(),
-             integrator: IntegratorConfig = IntegratorConfig()) -> np.ndarray:
+             query_grid: np.ndarray | None = None, beta=None) -> np.ndarray:
     """Invert an initial condition, evolve it, decode on a query grid.
 
-    ``u0`` is one field of shape (len(X), m) on the grid ``X`` (any
+    ``u0`` is one field of shape (len(X), 1) on the grid ``X`` (any
     subset or superset of the solver grid); ``times`` are absolute times
     with the initial condition at ``times[0]``.  Decodes on
     ``query_grid`` (default: the solver grid) at every requested time.
     ``beta`` must carry the PDE parameters for parameterized dynamics.
-    Returns (T, N_query, m).  ``query_grid`` must be a finite
+    Returns (T, N_query, 1).  ``query_grid`` must be a finite
     (N_query, coord_dim) array, ``times`` finite and strictly
     increasing, and ``beta`` given exactly when the dynamics are
     parameterized, as (p,) or (1, p); all three are checked before the
-    inversion.
+    inversion.  Inversion and integration run at the module's constants,
+    see :func:`invert` and :func:`integrate`.
 
     The final decode runs in exact (row-stable) mode.  A siren decodes
     the times in blocks sized so that each hidden layer's array holds
@@ -279,7 +267,7 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     """
     X = np.asarray(X)
     u0 = np.asarray(u0, dtype=np.float64)
-    want = (len(X), model.decoder_config.out_channels)
+    want = (len(X), 1)
     if u0.shape != want:
         raise ValueError(f"u0 must have shape {want} (one field on X), got {u0.shape}")
     # before the inversion, which takes longest
@@ -288,10 +276,10 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
                      model.decoder_config.coord_dim)
     times = _check_times(None, times)
     _check_beta(model.dynamics_config, beta, 1)
-    alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X, inversion)
+    alpha0, _ = invert(model.decoder_config, model.decoder_params, u0, X)
     codes = integrate(
         model.dynamics_config, model.dynamics_params, alpha0,
-        times[0], times, beta=beta, integrator=integrator,
+        times[0], times, beta=beta,
     )
     dec_params = {k: constant(v) for k, v in model.decoder_params.items()}
     cfg = model.decoder_config
@@ -301,9 +289,7 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
             # decode's per-point contract (see the docstring)
             A, c = affine_decomposition(cfg, dec_params, Xq)
             flat = dm.add(dm.matmul(constant(codes), A, True), c)
-            fields = dm.reshape(
-                flat, (len(times), len(Xq), cfg.out_channels)
-            )
+            fields = dm.reshape(flat, (len(times), len(Xq), 1))
         else:
             # exact-mode rows do not depend on the block they are in
             per_block = max(1, _DECODE_ELEMENTS // (len(Xq) * cfg.width))

@@ -20,12 +20,13 @@ the rate there is the one of the fully decoded field.  With the full
 grid observed, every point is read, and the whole grid is decoded.
 
 :func:`batch_terms` is the one definition of both terms: training runs
-it on a whole batch of snapshots at once.  For the hyper decoder it goes
-through the affine decomposition, one value pass and one reverse sweep
-per step that also supply every Jacobian row; for siren one dual decode
-gives every row from a single reverse sweep through the decoder.  The
-test suite checks it, values and gradients, against a per-snapshot
-reference built from the public primitives.
+it on a whole batch of snapshots at once.  Fields are scalar, (N, 1)
+per snapshot.  For the hyper decoder it goes through the affine
+decomposition, one value pass and one reverse sweep per step that also
+supply every Jacobian row; for siren one dual decode gives every row
+from a single reverse sweep through the decoder.  The test suite
+checks it, values and gradients, against a per-snapshot reference
+built from the public primitives.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def _label_norms(label: np.ndarray) -> np.ndarray:
     norms = np.sqrt((label * label).sum(axis=-2))
     bad = norms < NORM_GUARD
     if bad.any():
-        where = np.argwhere(bad)[0]
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
         raise DegenerateNormError(
-            f"label channel {tuple(where)} has near-zero norm ({norms[tuple(where)]:.3e})"
+            f"label channel {where} has near-zero norm ({norms[where]:.3e})"
         )
     return norms
 
@@ -112,17 +113,16 @@ def latent_rnmse(pred, target) -> Tensor:
 def _batched_jacobian_siren(config, params, alpha_b: Tensor, coords_b: np.ndarray) -> Tensor:
     """Per-snapshot decoder Jacobians on per-snapshot coordinate subsets.
 
-    ``alpha_b`` is (B, k); ``coords_b`` is (B, n, d).  Returns (B, n*m, k).
+    ``alpha_b`` is (B, k); ``coords_b`` is (B, n, d).  Returns (B, n, k).
     One dual decode with unit tangents serves the whole batch: it costs
-    ``m`` reverse sweeps through the decoder, and only its final
+    one reverse sweep through the decoder, and only its final
     contraction with the k tangents grows with k.
     """
     b, k = alpha_b.shape
     seeds = np.broadcast_to(np.eye(k)[:, None, :], (k, b, k))
     dual = DualBatch(alpha_b, constant(seeds))
     out = decode(config, params, dual, coords_b, fast=True)
-    nm = out.value.shape[-2] * out.value.shape[-1]
-    tang = dm.reshape(out.tangent, (k, b, nm))
+    tang = dm.reshape(out.tangent, (k, b, coords_b.shape[1]))
     return dm.transpose(tang, (1, 2, 0))
 
 
@@ -179,8 +179,6 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
 
     Returns ``(rec_mean, dyn_mean)`` as scalar tensors.
     """
-    if dec_config.out_channels != 1:
-        raise ValueError("built-in solvers evolve single-channel fields")
     n = spec.grid.num_points
     b, k = alpha_b.shape
     X_solver = spec.grid.coords()

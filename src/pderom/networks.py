@@ -3,26 +3,28 @@
 Two decoder families map a latent code plus a spatial coordinate to
 field values, one coordinate at a time (mesh-free):
 
-* ``siren`` - an MLP with ``sin(omega0 * (W z + b))`` hidden layers whose
+Fields are scalar: every decoder has one output channel, so a field on
+N points is (N, 1).
+
+* ``siren`` - an MLP with ``sin(OMEGA0 * (W z + b))`` hidden layers whose
   input is the coordinate concatenated with the latent code.  The first
   layer is evaluated split: ``sin(p + q)`` with the grid part
-  ``p = omega0 (x W_x + b)`` and the code part ``q = omega0 alpha W_a``,
+  ``p = OMEGA0 (x W_x + b)`` and the code part ``q = OMEGA0 alpha W_a``,
   added by angle addition (``dm.sin_shift``), so its sines run once per
   grid point and once per code instead of once per (code, point) pair.
   :func:`grid_decoder` computes the grid part once for many codes.
   Code tangents come from ``decode`` of a ``DualBatch(alpha, T)``: the
   concatenated ``[x, alpha]`` first layer, because each snapshot may
-  bring its own points, then one reverse sweep per output channel back
-  down to the code, contracted with the K tangent directions ``T``.
+  bring its own points, then one reverse sweep back down to the code,
+  contracted with the K tangent directions ``T``.
 * ``hyper`` - trig-modulated layers
   ``(W z + b + W' alpha) * [cos(freq x), sin(freq x)]`` where the latent
   code enters only through the per-layer bias shift ``W' alpha`` and the
   frequencies ``freq`` are trainable.  Because every layer is affine in
   ``alpha``, the whole decoder is an affine map of the code for a fixed
   grid; :func:`affine_decomposition` extracts that map, the value at
-  the zero code plus the code Jacobian from ``m`` reverse sweeps (one
-  per output channel), so training and inversion can decode whole
-  batches with a single matmul.
+  the zero code plus the code Jacobian from one reverse sweep, so
+  training and inversion can decode whole batches with a single matmul.
 
 Both Jacobians are tape tensors, so they stay differentiable in reverse
 mode (reverse-over-reverse).
@@ -59,6 +61,9 @@ __all__ = [
     "dynamics_eval",
 ]
 
+# siren's fixed frequency scale (Sitzmann et al., 2020); read at call time
+OMEGA0 = 30.0
+
 
 def _check_counts(config, names) -> None:
     """Raise ``ValueError`` unless each named field is an integer
@@ -76,15 +81,13 @@ class DecoderConfig:
     layers: int  # number of hidden layers
     width: int
     coord_dim: int
-    out_channels: int = 1
-    omega0: float = 30.0  # siren frequency scale (fixed, not trained)
     coord_lo: tuple = ()
     coord_hi: tuple = ()
 
     def __post_init__(self):
         if self.architecture not in ("siren", "hyper"):
             raise ValueError(f"unknown decoder architecture {self.architecture!r}")
-        counts = ("latent_dim", "layers", "width", "coord_dim", "out_channels")
+        counts = ("latent_dim", "layers", "width", "coord_dim")
         _check_counts(self, counts)
         for name in counts:
             if getattr(self, name) < 1:
@@ -95,8 +98,6 @@ class DecoderConfig:
             raise ValueError("coordinate bounds must match coord_dim or be empty")
         if not all(-np.inf < lo < hi < np.inf for lo, hi in zip(self.coord_lo, self.coord_hi)):
             raise ValueError("coord_hi must exceed coord_lo on every axis, both finite")
-        if not 0 < self.omega0 < np.inf:
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0!r}")
 
     def normalize(self, X: np.ndarray) -> np.ndarray:
         """Map physical coordinates into [-1, 1] per axis."""
@@ -131,19 +132,19 @@ def _uniform(bound: float):
 def _decoder_layout(config: DecoderConfig) -> list:
     """Each decoder parameter as ``(name, shape, draw)`` in draw order;
     ``draw(rng, shape)`` makes its initial value."""
-    k, w, d, m = config.latent_dim, config.width, config.coord_dim, config.out_channels
+    k, w, d = config.latent_dim, config.width, config.coord_dim
     layout = []
     if config.architecture == "siren":
         fan = d + k
-        # first layer uses the 1/fan_in bound, later layers sqrt(6/fan)/omega0
+        # first layer uses the 1/fan_in bound, later layers sqrt(6/fan)/OMEGA0
         layout += [("l0.W", (fan, w), _uniform(1.0 / fan)),
                    ("l0.b", (w,), _uniform(1.0 / np.sqrt(fan)))]
         for i in range(1, config.layers):
-            layout += [(f"l{i}.W", (w, w), _uniform(np.sqrt(6.0 / w) / config.omega0)),
+            layout += [(f"l{i}.W", (w, w), _uniform(np.sqrt(6.0 / w) / OMEGA0)),
                        (f"l{i}.b", (w,), _uniform(1.0 / np.sqrt(w)))]
-        # plain linear head: the sine-layer bound would shrink outputs by omega0
-        layout += [("out.W", (w, m), _uniform(np.sqrt(6.0 / w))),
-                   ("out.b", (m,), _uniform(1.0 / np.sqrt(w)))]
+        # plain linear head: the sine-layer bound would shrink outputs by OMEGA0
+        layout += [("out.W", (w, 1), _uniform(np.sqrt(6.0 / w))),
+                   ("out.b", (1,), _uniform(1.0 / np.sqrt(w)))]
     else:
         fan = d
         for i in range(config.layers):
@@ -154,8 +155,8 @@ def _decoder_layout(config: DecoderConfig) -> list:
                         lambda rng, shape: rng.standard_normal(shape) * (30.0 / d))]
             fan = w
         b = 1.0 / np.sqrt(w)
-        layout += [("out.W", (w, m), _uniform(b)), ("out.b", (m,), _uniform(b)),
-                   ("out.Wm", (k, m), _uniform(1.0 / np.sqrt(k)))]
+        layout += [("out.W", (w, 1), _uniform(b)), ("out.b", (1,), _uniform(b)),
+                   ("out.Wm", (k, 1), _uniform(1.0 / np.sqrt(k)))]
     return layout
 
 
@@ -242,15 +243,15 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
     for siren ``sin p`` and ``cos p`` of the first layer's grid part, for
     hyper the affine map ``(A, c)`` of :func:`affine_decomposition`.  The
     returned function takes a code Tensor of shape (k,) or (B, k) and
-    returns (N, m) or (B, N, m); it stays on the tape, so gradients reach
+    returns (N, 1) or (B, N, 1); it stays on the tape, so gradients reach
     the code and, through the bound grid part, the parameters.  For
     siren it is what :func:`decode` runs on a non-dual code, bit for bit.
 
     A siren's function takes an optional second argument ``rows``,
     shape (P,) for one code or (B, P) for a batch: the grid points to
     evaluate, one set per code.  It gathers those rows of ``sin p`` and
-    ``cos p`` and runs every later layer on them alone, returning (P, m)
-    or (B, P, m); in exact mode that equals the full decode gathered at
+    ``cos p`` and runs every later layer on them alone, returning (P, 1)
+    or (B, P, 1); in exact mode that equals the full decode gathered at
     ``rows``, bit for bit.
     """
     xn = _normalized_coords(config, X)
@@ -258,19 +259,19 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
 
     if config.architecture == "hyper":
         A, c = affine_decomposition(config, params, X, fast=fast)
-        n, m = xn.shape[-2], config.out_channels
+        n = xn.shape[-2]
 
         def predict(code):
             shape = _check_code(config, code, xn)
             rows = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
             flat = dm.add(dm.matmul(rows, A, rs), c)
-            return dm.reshape(flat, (*shape[:-1], n, m))
+            return dm.reshape(flat, (*shape[:-1], n, 1))
 
         return predict
 
-    # first layer sin(omega0 (x W_x + alpha W_a + b)) = sin(p + q) with the
+    # first layer sin(OMEGA0 (x W_x + alpha W_a + b)) = sin(p + q) with the
     # grid part p and the code part q apart; dm.sin_shift adds the angles
-    d, omega0 = config.coord_dim, constant(np.float64(config.omega0))
+    d, omega0 = config.coord_dim, constant(np.float64(OMEGA0))
     W0 = params["l0.W"]
     p = dm.mul(dm.add(dm.matmul(constant(xn), dm.slice_(W0, (slice(0, d),)), rs),
                       params["l0.b"]), omega0)
@@ -287,7 +288,7 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
         else:
             z = dm.sin_shift(dm.take_rows(sin_p, rows), dm.take_rows(cos_p, rows), q)
         for i in range(1, config.layers):
-            z = dm.sine_affine(z, params[f"l{i}.W"], params[f"l{i}.b"], config.omega0, rs)
+            z = dm.sine_affine(z, params[f"l{i}.W"], params[f"l{i}.b"], OMEGA0, rs)
         return dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
 
     return predict
@@ -299,9 +300,9 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
 
     ``alpha`` is a Tensor of shape (k,) or (B, k), and ``X`` is (N, d)
     physical coordinates shared by the batch, or (B, N, d) per-snapshot
-    grids, one per code; other code shapes raise ``ValueError``.  Rows
-    of the output are computed independently; permuting ``X`` permutes
-    the rows, exactly.
+    grids, one per code; other code shapes raise ``ValueError``.  The
+    field is (N, 1) or (B, N, 1).  Rows of the output are computed
+    independently; permuting ``X`` permutes the rows, exactly.
 
     Exact mode computes every matmul one output row at a time (see
     ``dm.matmul``'s ``row_stable``).  ``fast=True`` switches them to
@@ -355,27 +356,27 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
     """A siren's field and code tangents, by the chain rule written out.
 
     Every step is a tape op, so the tangents stay differentiable in
-    reverse mode.  The decoder acts pointwise with ``m`` outputs per
-    point, so the code gradients come from ``m`` reverse (adjoint)
-    sweeps, vectorized over the points, after one value pass.  That
-    gives the (m, ..., n, k) gradient of each output with respect to the
-    code, at the cost of ``m`` sweeps whatever the number of tangents;
-    only the final contraction with the K tangents ``T`` scales with K.
+    reverse mode.  The decoder acts pointwise with one output per point,
+    so one reverse (adjoint) sweep, vectorized over the points, after
+    one value pass gives the (..., n, k) gradient of the output with
+    respect to the code, whatever the number of tangents; only the final
+    contraction with the K tangents ``T`` scales with K.  The tangents
+    come back as (K, ..., n, 1), shaped like K copies of the field.
 
     The sweep seeds ``g = out.W^T``, then per layer from the last down
-    maps ``g -> (g * cos(pre)) @ (omega0 W^T)``, with the first layer's
+    maps ``g -> (g * cos(pre)) @ (OMEGA0 W^T)``, with the first layer's
     code rows ``W_a`` at the bottom.
     """
     a = alpha.value
     xn = _normalized_coords(config, X)
     shape = _check_code(config, a, xn)
     rs = not fast
-    m, lead = config.out_channels, len(shape) - 1
+    lead = len(shape) - 1
 
     # value through the concatenated [x, alpha] first layer: every
     # snapshot may come with its own points, so no grid part is shared
     a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
-    omega0 = constant(np.float64(config.omega0))
+    omega0 = constant(np.float64(OMEGA0))
     n, d = xn.shape[-2], config.coord_dim
     z = dm.concat([constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
                    dm.matmul(constant(np.ones((n, 1))), a_row, rs)], axis=-1)
@@ -385,35 +386,37 @@ def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
                                   params[f"l{i}.b"]), omega0))
         z = dm.sin(pres[-1])
     u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
-    # one adjoint per output channel, (m, ..., 1, width), broadcast
-    # over the points by the first cos(pre)
-    g = dm.reshape(dm.transpose(params["out.W"]), (m, *(1,) * lead, 1, config.width))
+    # the adjoint, (..., 1, width), broadcast over the points by the
+    # first cos(pre)
+    g = dm.reshape(params["out.W"], (*(1,) * lead, 1, config.width))
     W_a = dm.slice_(params["l0.W"], (slice(d, d + shape[-1]),))
     for i in reversed(range(config.layers)):
         W = params[f"l{i}.W"] if i else W_a
         g = dm.matmul(dm.mul(g, dm.cos(pres[i])), dm.mul(dm.transpose(W), omega0), rs)
-    # contract the (m, ..., n, k) code gradients with T^T (..., k, K)
+    # contract the (..., n, k) code gradients with T^T (..., k, K)
     T_t = dm.transpose(alpha.tangent, (*range(1, lead + 2), 0))
-    dU = dm.matmul(g, T_t, rs)  # (m, ..., n, K)
-    return DualBatch(u, dm.transpose(dU, (lead + 2, *range(1, lead + 2), 0)))
+    dU = dm.matmul(g, T_t, rs)  # (..., n, K)
+    dU = dm.transpose(dU, (lead + 1, *range(lead + 1)))
+    return DualBatch(u, dm.reshape(dU, (*dU.shape, 1)))
 
 
 def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
                          fast: bool = False):
     """Express a hyper decoder on a fixed grid as ``u = alpha @ A + c``.
 
-    Returns ``(A, c)`` with ``A`` of shape (k, N*m) and ``c`` of shape
-    (N*m,), both tape tensors.  Exact for the hyper architecture, whose
+    Returns ``(A, c)`` with ``A`` of shape (k, N) and ``c`` of shape
+    (N,), both tape tensors.  Exact for the hyper architecture, whose
     layers are affine in the code; rejected for siren.  ``X`` is one
     grid of shape (N, d).  Decoding a batch then costs one
-    (B, k) x (k, N*m) matmul instead of B network passes.
+    (B, k) x (k, N) matmul instead of B network passes.
 
     ``c`` is the value at the zero code, whose pass also gives each
     layer's modulation ``trig``.  The code enters every layer only
     through its bias shift ``alpha @ Wm``, so the code Jacobian ``A``
-    takes one reverse sweep per output channel: seed ``g = out.W^T`` and
-    ``grad = out.Wm^T``, then per layer from the last down
-    ``h = g * trig``, ``grad += h @ Wm^T`` and ``g = h @ W^T``.
+    takes one reverse sweep: seed ``g = out.W^T`` and ``grad = out.Wm^T``,
+    then per layer from the last down ``h = g * trig``,
+    ``grad += h @ Wm^T`` and ``g = h @ W^T``.  ``A`` is the transpose
+    of the (N, k) ``grad``.
     """
     if config.architecture != "hyper":
         raise ValueError("affine decomposition requires the hyper architecture")
@@ -425,18 +428,16 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
         )
     xn = _normalized_coords(config, X)
     rs = not fast
-    k, m = config.latent_dim, config.out_channels
+    k = config.latent_dim
     u, trigs = _hyper_value(config, params, constant(np.zeros(k)), xn, rs)
-    g = dm.reshape(dm.transpose(params["out.W"]), (m, 1, config.width))
-    grad = dm.reshape(dm.transpose(params["out.Wm"]), (m, 1, k))
+    g = dm.reshape(params["out.W"], (1, config.width))
+    grad = dm.reshape(params["out.Wm"], (1, k))
     for i in reversed(range(config.layers)):
         h = dm.mul(g, trigs[i])
         grad = dm.add(grad, dm.matmul(h, dm.transpose(params[f"l{i}.Wm"]), rs))
         if i:
             g = dm.matmul(h, dm.transpose(params[f"l{i}.W"]), rs)
-    nm = u.shape[0] * m
-    # (m, N, k) -> (k, N, m), so that column n*m + j of A is output j at point n
-    return dm.reshape(dm.transpose(grad, (2, 1, 0)), (k, nm)), dm.reshape(u, (nm,))
+    return dm.transpose(grad), dm.reshape(u, (u.shape[0],))
 
 
 def _check_beta(config: DynamicsConfig, beta, codes: int) -> None:

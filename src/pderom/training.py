@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffmath as dm
-from .diffmath import NonFiniteError, Tensor, backward
-from .losses import batch_terms
+from .diffmath import DiffmathError, Tensor, backward
+from .losses import DegenerateNormError, batch_terms
 from .networks import DecoderConfig, DynamicsConfig, _check_counts, init_decoder, init_dynamics
-from .solvers import SolverSpec
+from .solvers import SolverError, SolverSpec
 
 __all__ = [
     "TrainingConfig",
@@ -179,8 +179,11 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     mean losses and elapsed time on the ``pderom.training`` logger at
     INFO; the logger's level switches it.
 
-    A :class:`NonFiniteError` names the epoch and the batch's rows of the
-    snapshot table (row ``trajectory * (t_train + 1) + time``).
+    An error that a step raises names the epoch and the batch's rows of
+    the snapshot table (row ``trajectory * (t_train + 1) + time``): any
+    :class:`~pderom.diffmath.DiffmathError` (``NonFiniteError``,
+    ``SingularSystemError``), :class:`~pderom.losses.DegenerateNormError`
+    or :class:`~pderom.solvers.SolverError` (``CFLError``).
     """
     if decoder_config.latent_dim != dynamics_config.latent_dim:
         raise ValueError(f"decoder latent_dim = {decoder_config.latent_dim}, but dynamics "
@@ -256,7 +259,7 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
                 )
                 loss = dm.add(dm.mul(rec, config.lam), dm.mul(dyn, 1.0 - config.lam))
                 grads = backward(loss, [joint[n] for n in names])
-            except NonFiniteError as err:
+            except (DiffmathError, DegenerateNormError, SolverError) as err:
                 err.args = (f"{err} (epoch {epoch}, batch rows {rows.tolist()})",)
                 raise
             joint, state = adamw_step(

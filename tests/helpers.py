@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from pderom import diffmath as dm
+from pderom import networks
 from pderom.diffmath import tape
 from pderom.solvers import time_derivative
 
@@ -82,7 +83,7 @@ def grad(scalar_fn, params):
 
 
 def code_jacobian(config, params, alpha, X):
-    """(N*m, k) Jacobian of the flattened decoded field w.r.t. one code.
+    """(N, k) Jacobian of the flattened decoded field w.r.t. one code.
 
     Built in forward mode from unit tangents, so it does not run the
     library's Jacobian; a tape tensor, differentiable in reverse mode.
@@ -99,17 +100,17 @@ def siren_tangents_forward(config, params, alpha, T, X, fast=False):
     The reference for ``decode`` of a ``DualBatch(alpha, T)``: the value
     runs the same ops as the library, and each of the K tangents ``dz``
     is carried through every layer as ``dz -> cos(pre) * ((dz @ W) *
-    omega0)``, starting from ``T @ W_a`` on the first layer's code rows.
+    OMEGA0)``, starting from ``T @ W_a`` on the first layer's code rows.
     ``alpha`` is (k,) or (B, k), ``T`` (K, *alpha.shape) and ``X`` (N, d)
-    or (B, n, d).  Returns tape tensors ``u`` (..., n, m) and ``dU``
-    (K, ..., n, m).
+    or (B, n, d).  Returns tape tensors ``u`` (..., n, 1) and ``dU``
+    (K, ..., n, 1).
     """
     a, T = dm.as_tensor(alpha), dm.as_tensor(T)
     shape = a.shape
     xn = config.normalize(X)
     rs = not fast
     a_row = dm.reshape(a, (*shape[:-1], 1, shape[-1]))
-    omega0 = dm.constant(np.float64(config.omega0))
+    omega0 = dm.constant(np.float64(networks.OMEGA0))
     n, d = xn.shape[-2], config.coord_dim
     z = dm.concat([dm.constant(np.broadcast_to(xn, (*shape[:-1], n, d))),
                    dm.matmul(dm.constant(np.ones((n, 1))), a_row, rs)], axis=-1)

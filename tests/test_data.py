@@ -175,6 +175,15 @@ class TestDatasetContents:
         with pytest.raises(FormatError, match=rf"{split}\[0\] snapshots have 100 rows"):
             data.load_dataset(saved(tmp_path, ds))
 
+    def test_snapshots_must_have_one_channel(self, tmp_path):
+        match = r"snapshots must be \(T\+1, N, 1\), got \(2, 4, 2\)"
+        with pytest.raises(ValueError, match=match):
+            data.Trajectory(np.zeros((2, 4, 2)), np.array([0.5]))
+        ds = small_dataset()
+        ds.train[0].snapshots = np.zeros((2, 4, 2))  # set past the check, then saved
+        with pytest.raises(FormatError, match=match):
+            data.load_dataset(saved(tmp_path, ds))
+
 
 class TestDatasetMetadata:
     # each used to load and fail later (in train or forecast), or never
@@ -317,7 +326,7 @@ class TestContainer:
         assert peak < 2**20
 
     def test_parameter_shapes_are_those_initialized(self):
-        configs = [DecoderConfig("siren", 3, 3, 8, 2), DecoderConfig("hyper", 3, 2, 8, 2, 2),
+        configs = [DecoderConfig("siren", 3, 3, 8, 2), DecoderConfig("hyper", 3, 2, 8, 2),
                    DynamicsConfig(3, 2, 8), DynamicsConfig(3, 1, 8, param_dim=2)]
         for config in configs:
             init = (init_decoder if isinstance(config, DecoderConfig) else init_dynamics)(
@@ -371,7 +380,7 @@ class TestContainer:
         assert rejected > 0.8 * header_end  # most flips break the header
 
     # each key is a field with a default, which used to fill in when missing
-    @pytest.mark.parametrize("config,key", [("decoder_config", "omega0"),
+    @pytest.mark.parametrize("config,key", [("decoder_config", "coord_lo"),
                                             ("dynamics_config", "param_dim"),
                                             ("training_config", "seed")])
     @pytest.mark.parametrize("change", ["missing", "extra"])
@@ -439,8 +448,6 @@ class TestContainer:
         ("dataset", ["spec"], "dt", 1e3, "FTCS unstable"),
         ("dataset", ["spec"], "dt", float("nan"), "dt must be positive"),
         ("dataset", ["spec", "params"], "kappa", float("nan"), "finite kappa"),
-        ("model", ["decoder_config"], "omega0", float("nan"), "omega0"),
-        ("model", ["decoder_config"], "omega0", 0.0, "omega0"),
     ])
     def test_malformed_spec_or_decoder_value_raises_format_error(self, tmp_path, kind,
                                                                  where, key, value, match):
@@ -449,16 +456,17 @@ class TestContainer:
         with pytest.raises(FormatError, match=match):
             load(path)
 
-    # version 3 headers held five more training settings
+    # version 3 headers held five more training settings, version 4 headers
+    # two more decoder settings (out_channels and omega0)
     def test_older_format_version_raises_format_error(self, tmp_path):
         for kind in ("dataset", "model"):
             path, load = saved_container(tmp_path, kind)
             blob = path.read_bytes()
-            assert blob[8:12] == np.uint32(4).tobytes()
-            for version in (1, 2, 3):
+            assert blob[8:12] == np.uint32(5).tobytes()
+            for version in (1, 2, 3, 4):
                 path.write_bytes(blob[:8] + np.uint32(version).tobytes() + blob[12:])
                 with pytest.raises(FormatError, match=f"unsupported format version "
-                                                      f"{version}; expected 4"):
+                                                      f"{version}; expected 5"):
                     load(path)
 
     def test_wrong_kind_raises_format_error(self, tmp_path):

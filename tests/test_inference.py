@@ -8,7 +8,7 @@ import pytest
 
 from pderom import data, inference
 from pderom.diffmath import NonFiniteError, constant
-from pderom.inference import IntegratorConfig, InversionConfig, forecast, integrate, invert
+from pderom.inference import forecast, integrate, invert
 from pderom.losses import field_rnmse
 from pderom.networks import (
     DecoderConfig,
@@ -28,13 +28,14 @@ SIREN = DecoderConfig("siren", latent_dim=3, layers=1, width=8, coord_dim=1,
                       coord_lo=(0.0,), coord_hi=(1.0,))
 
 
-def test_non_finite_field_names_the_inversion_step():
+def test_non_finite_field_names_the_inversion_step(monkeypatch):
+    monkeypatch.setattr(inference, "INVERSION_STEPS", 3)
     params = {k: v.data for k, v in init_decoder(HYPER, seed=0).items()}
     params["out.b"] = np.full_like(params["out.b"], 1e308)  # squares overflow
     X = np.linspace(0.0, 1.0, 20)[:, None]
     with np.errstate(over="ignore"), \
             pytest.raises(NonFiniteError, match=r"\(inversion step 0\)") as err:
-        invert(HYPER, params, np.ones((20, 1)), X, InversionConfig(steps=3))
+        invert(HYPER, params, np.ones((20, 1)), X)
     assert err.value.op == "mul"
 
 
@@ -59,7 +60,7 @@ def test_non_finite_u0_is_rejected_before_the_grid_is_bound(monkeypatch, shape, 
 
 @pytest.mark.parametrize("shape", [(20,), (1, 1, 20, 1)], ids=["1-d", "4-d"])
 def test_invert_rejects_fields_of_other_ranks(shape):
-    with pytest.raises(ValueError, match=rf"u0 must have shape \(N, m\) or \(B, N, m\), "
+    with pytest.raises(ValueError, match=rf"u0 must have shape \(N, 1\) or \(B, N, 1\), "
                                          rf"got {re.escape(str(shape))}"):
         invert(HYPER, {}, np.full(shape, np.nan), np.linspace(0.0, 1.0, 20)[:, None])
 
@@ -84,32 +85,21 @@ def test_invert_checks_X_before_the_grid_is_bound(monkeypatch, arch, u0_shape, X
         invert(config, params, np.ones(u0_shape), X)
 
 
-@pytest.mark.parametrize("steps", [10.5, 10.0, True])
-def test_inversion_config_rejects_non_integer_steps(steps):
-    with pytest.raises(ValueError, match="steps must be an integer"):
-        InversionConfig(steps=steps)
+@pytest.mark.parametrize("shape", [(20, 2), (3, 20, 2)], ids=["field", "batch"])
+def test_invert_rejects_fields_of_two_channels_before_the_grid_is_bound(monkeypatch, shape):
+    def grid_decoder(*args, **kwargs):
+        raise AssertionError("invert bound the grid before checking u0's channels")
 
-
-@pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
-def test_inversion_config_rejects_non_positive_lr(lr):
-    with pytest.raises(ValueError, match="lr must be positive"):
-        InversionConfig(lr=lr)
-
-
-@pytest.mark.parametrize("tol", [{"rtol": np.nan}, {"atol": np.nan}])
-def test_integrator_config_rejects_non_positive_tolerances(tol):
-    with pytest.raises(ValueError, match="tolerances must be positive"):
-        IntegratorConfig(**tol)
-
-
-@pytest.mark.parametrize("tol", [{"rtol": np.inf}, {"atol": np.inf}])
-def test_integrator_config_rejects_infinite_tolerances(tol):
-    with pytest.raises(ValueError, match="tolerances must be positive and finite"):
-        IntegratorConfig(**tol)
+    monkeypatch.setattr(inference, "grid_decoder", grid_decoder)
+    with pytest.raises(ValueError, match=r"u0 must have one channel on its last axis, got "
+                                         rf"shape {re.escape(str(shape))}"):
+        invert(HYPER, {}, np.ones(shape), np.linspace(0.0, 1.0, 20)[:, None])
 
 
 @pytest.mark.parametrize("arch", ["hyper", "siren"])
-def test_invert_recovers_a_known_code(arch):
+def test_invert_recovers_a_known_code(arch, monkeypatch):
+    monkeypatch.setattr(inference, "INVERSION_STEPS", 500)
+    monkeypatch.setattr(inference, "INVERSION_LR", 0.005)
     config = DecoderConfig(arch, latent_dim=3, layers=2, width=16, coord_dim=2,
                            coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
     params = {k: v.data for k, v in init_decoder(config, seed=4).items()}
@@ -117,15 +107,14 @@ def test_invert_recovers_a_known_code(arch):
     X = rng.uniform(0.0, 1.0, size=(60, 2))
     codes = rng.normal(size=(2, 3)) * 0.3
     fields = decode(config, params, constant(codes), X).data
-    got, loss = invert(config, params, fields, X, InversionConfig(steps=500, lr=0.005))
+    got, loss = invert(config, params, fields, X)
     assert got.shape == codes.shape and loss.shape == (2,)
     assert (loss < 0.01).all()
     np.testing.assert_allclose(got, codes, atol=5e-3)
     np.testing.assert_allclose(
         loss, field_rnmse(decode(config, params, constant(got), X, fast=True), fields).data,
         rtol=1e-12)
-    single, single_loss = invert(config, params, fields[1], X,
-                                 InversionConfig(steps=500, lr=0.005))
+    single, single_loss = invert(config, params, fields[1], X)
     assert single.shape == (3,) and single_loss < 0.01
 
 
@@ -154,18 +143,34 @@ def test_integrate_matches_a_linear_ode():
 
     calls = []
     for rtol in (1e-3, 1e-5, 1e-7):
-        integrator = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
+        atol = rtol * 1e-2
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "RTOL", rtol)
+            mp.setattr(inference, "ATOL", atol)
             mp.setattr(inference, "dynamics_eval",
                        lambda *a, **k: calls.append(rtol) or dynamics_eval(*a, **k))
-            got = integrate(config, params, alpha0, 0.0, times, integrator=integrator)
-        scale = integrator.atol + integrator.rtol * np.abs(exact)
+            got = integrate(config, params, alpha0, 0.0, times)
+        scale = atol + rtol * np.abs(exact)
         # global error of a locally controlled pair: a fixed multiple of the
         # tolerance (at most about 15 on this growing mode)
         assert (np.abs(got - exact) / scale).max() < 50.0, rtol
     # at the loosest tolerance a step spans several targets, so the dense
     # output is checked inside steps, not only at their ends
     assert calls.count(1e-3) / 3 < (len(times) - 1) / 2
+
+
+def test_non_finite_rate_names_the_time_integration_reached():
+    # rates that grow with the code overflow after some steps; a code near
+    # the float64 limit keeps those steps few
+    config = DynamicsConfig(3, 2, 6)
+    params = {k: v.data for k, v in init_dynamics(config, seed=5).items()}
+    params["out.W"] = params["out.W"] * 1e3
+    params["out.b"] = np.abs(params["out.b"]) * 1e3
+    with np.errstate(over="ignore"), \
+            pytest.raises(NonFiniteError,
+                          match=r"\(integration reached t = [-+.\de]+\)$") as err:
+        integrate(config, params, np.full(3, 1e300), 0.0, np.linspace(0.0, 50.0, 11))
+    assert float(re.search(r"t = (\S+)\)", str(err.value)).group(1)) > 0.0
 
 
 def test_integrate_from_a_target_at_t0_steps_to_the_next_target():
@@ -231,8 +236,10 @@ def trained(tmp_path_factory):
 def _forecast(ds, model, n_times=12, query_grid=None):
     traj = ds.test[0]
     times = ds.snapshot_dt * np.arange(n_times)
-    return forecast(model, traj.snapshots[0], ds.obs_coords, times, query_grid=query_grid,
-                    inversion=InversionConfig(steps=20))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "INVERSION_STEPS", 20)
+        return forecast(model, traj.snapshots[0], ds.obs_coords, times,
+                        query_grid=query_grid)
 
 
 @pytest.mark.parametrize("arch", ["hyper", "siren"])
@@ -282,11 +289,12 @@ def test_forecast_rejects_a_field_of_the_wrong_shape(trained, arch):
             forecast(model, bad, ds.obs_coords, [0.0, ds.snapshot_dt])
 
 
-def test_forecast_rejects_non_finite_times(trained):
+def test_forecast_rejects_non_finite_times(trained, monkeypatch):
+    monkeypatch.setattr(inference, "INVERSION_STEPS", 1)
     ds, models = trained
     with pytest.raises(ValueError, match=r"targets must be finite, got targets\[1\] = nan"):
         forecast(models["hyper"][0], ds.test[0].snapshots[0], ds.obs_coords,
-                 [0.0, np.nan], inversion=InversionConfig(steps=1))
+                 [0.0, np.nan])
 
 
 @pytest.mark.parametrize("times,match", [

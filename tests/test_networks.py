@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pderom import diffmath as dm
+from pderom import networks
 from pderom.diffmath import backward, constant
 from pderom.losses import _batched_jacobian_siren
 from pderom.networks import (
@@ -29,9 +30,9 @@ from helpers import (
 )
 
 SIREN = DecoderConfig("siren", latent_dim=3, layers=2, width=16, coord_dim=2,
-                      out_channels=2, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+                      coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
 HYPER = DecoderConfig("hyper", latent_dim=4, layers=2, width=12, coord_dim=2,
-                      out_channels=1, coord_lo=(-1.0, -1.0), coord_hi=(1.0, 1.0))
+                      coord_lo=(-1.0, -1.0), coord_hi=(1.0, 1.0))
 
 
 @pytest.mark.parametrize("hi", [(1.0, 0.0), (-1.0, 1.0), (np.nan, 1.0), (1.0, np.inf)])
@@ -40,14 +41,8 @@ def test_config_rejects_an_empty_coordinate_range(hi):
         DecoderConfig("hyper", 4, 2, 12, 2, coord_lo=(0.0, 0.0), coord_hi=hi)
 
 
-@pytest.mark.parametrize("omega0", [np.nan, 0.0, -30.0, np.inf])
-def test_decoder_config_rejects_a_bad_omega0(omega0):
-    with pytest.raises(ValueError, match="omega0 must be positive"):
-        DecoderConfig("siren", 4, 2, 12, 2, omega0=omega0)
-
-
 @pytest.mark.parametrize("field,value", [("width", 64.0), ("latent_dim", True),
-                                         ("coord_dim", 2.5), ("out_channels", None)])
+                                         ("coord_dim", 2.5)])
 def test_decoder_config_rejects_non_integer_counts(field, value):
     kwargs = dict(architecture="hyper", latent_dim=4, layers=2, width=12, coord_dim=2)
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -63,7 +58,7 @@ def test_dynamics_config_rejects_non_integer_counts(field, value):
 
 
 def library_jacobian(config, params, alpha, X):
-    """(N*m, k) code Jacobian from the library: the transposed ``A`` of
+    """(N, k) code Jacobian from the library: the transposed ``A`` of
     the affine map for hyper, ``decode`` of a ``DualBatch`` for siren."""
     if config.architecture == "hyper":
         return dm.transpose(affine_decomposition(config, params, X)[0])
@@ -72,18 +67,18 @@ def library_jacobian(config, params, alpha, X):
     return dm.transpose(dm.reshape(out.tangent, (k, -1)))
 
 
-def tangent_config(arch, m, layers):
+def tangent_config(arch, layers):
     """A decoder with k = 5 for the forward-mode comparisons."""
     return DecoderConfig(arch, latent_dim=5, layers=layers, width=12, coord_dim=2,
-                         out_channels=m, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+                         coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
 
 
-def check_siren_tangents_match_forward_mode(m, layers, batched_grid, K, fast):
+def check_siren_tangents_match_forward_mode(layers, batched_grid, K, fast):
     """``decode`` of a ``DualBatch`` against the forward-mode reference:
     values bitwise, tangents within 1e-13 relative."""
     # K = 5 is the code dimension, so K runs below, at and above k
-    config = tangent_config("siren", m, layers)
-    params = init_decoder(config, seed=m + 10 * layers)
+    config = tangent_config("siren", layers)
+    params = init_decoder(config, seed=1 + 10 * layers)
     rng = np.random.default_rng(K)
     B, n = 3, 9
     X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
@@ -94,7 +89,7 @@ def check_siren_tangents_match_forward_mode(m, layers, batched_grid, K, fast):
         out = decode(config, params, dm.DualBatch(alpha, T), X, fast=fast)
         u, dU = siren_tangents_forward(config, params, alpha, T, X, fast=fast)
         assert out.value.data.tobytes() == u.data.tobytes()
-        assert out.tangent.shape == dU.shape == (K, *shape[:-1], n, m)
+        assert out.tangent.shape == dU.shape == (K, *shape[:-1], n, 1)
         err = np.abs(out.tangent.data - dU.data).max() / np.abs(dU.data).max()
         assert err <= 1e-13
 
@@ -104,7 +99,7 @@ def reference_siren(params, config, alpha, X):
     xn = config.normalize(X)
     z = np.concatenate([xn, np.broadcast_to(alpha, (xn.shape[0], alpha.size))], axis=1)
     for i in range(config.layers):
-        z = np.sin(config.omega0 * (z @ params[f"l{i}.W"].data + params[f"l{i}.b"].data))
+        z = np.sin(networks.OMEGA0 * (z @ params[f"l{i}.W"].data + params[f"l{i}.b"].data))
     return z @ params["out.W"].data + params["out.b"].data
 
 
@@ -256,7 +251,7 @@ class TestGridDecoder:
         rows = rng.integers(0, len(X), size=(3, 9))  # repeats allowed
         full = predict(constant(batch)).data
         got = predict(constant(batch), rows).data
-        assert got.shape == (3, 9, config.out_channels)
+        assert got.shape == (3, 9, 1)
         assert got.tobytes() == np.take_along_axis(full, rows[..., None], axis=1).tobytes()
         one = predict(constant(alpha), rows[0]).data
         assert one.tobytes() == predict(constant(alpha)).data[rows[0]].tobytes()
@@ -401,21 +396,22 @@ class TestJacobian:
         codes = rng.normal(size=(3, SIREN.latent_dim)) * 0.3
         coords = rng.uniform(0.0, 1.0, size=(3, 5, 2))
         J = _batched_jacobian_siren(SIREN, params, constant(codes), coords).data
-        nm = 5 * SIREN.out_channels
-        assert J.shape == (3, nm, SIREN.latent_dim)
+        assert J.shape == (3, 5, SIREN.latent_dim)
         for b in range(3):
-            for row in range(nm):
+            for row in range(5):
                 leaf = parameter(codes[b])
-                flat = dm.reshape(decode(SIREN, params, leaf, coords[b]), (nm,))
-                (g,) = backward(dm.sum_(dm.mul(flat, constant(np.eye(nm)[row]))), [leaf])
+                flat = dm.reshape(decode(SIREN, params, leaf, coords[b]), (5,))
+                (g,) = backward(dm.sum_(dm.mul(flat, constant(np.eye(5)[row]))), [leaf])
                 np.testing.assert_allclose(J[b, row], g, atol=1e-10)
 
     @pytest.mark.parametrize("arch", ["siren", "hyper"])
-    def test_jacobian_differentiable_in_reverse(self, arch):
+    def test_jacobian_differentiable_in_reverse(self, arch, monkeypatch):
         # J differentiated in reverse: d sum(J * J) against finite differences,
-        # over the parameters and, for siren, the code (hyper's J is constant in it)
+        # over the parameters and, for siren, the code (hyper's J is constant in it);
+        # a siren at omega0 = 3 keeps the differences accurate
+        monkeypatch.setattr(networks, "OMEGA0", 3.0)
         config = DecoderConfig(arch, latent_dim=3, layers=2, width=8, coord_dim=2,
-                               omega0=3.0, coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
+                               coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
         rng = np.random.default_rng(13)
         X = rng.uniform(0.0, 1.0, size=(7, 2))
         params = init_decoder(config, seed=14)
@@ -433,9 +429,8 @@ class TestJacobian:
     @pytest.mark.parametrize("K", [1, 3, 5, 11])
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     @pytest.mark.parametrize("layers", [1, 3])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_siren_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
-        check_siren_tangents_match_forward_mode(m, layers, batched_grid, K, fast)
+    def test_siren_tangents_match_forward_mode(self, layers, batched_grid, K, fast):
+        check_siren_tangents_match_forward_mode(layers, batched_grid, K, fast)
 
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     def test_siren_tangent_rows_follow_a_permutation_of_the_points(self, batched_grid):
@@ -456,15 +451,14 @@ class TestJacobian:
     @pytest.mark.parametrize("K", [1, 3, 5, 11])
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     @pytest.mark.parametrize("layers", [1, 3])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_hyper_tangents_match_forward_mode(self, m, layers, batched_grid, K, fast):
+    def test_hyper_tangents_match_forward_mode(self, layers, batched_grid, K, fast):
         # A against the forward-mode tangents: along the k unit codes, and
         # as the map T @ A along K random directions (K = 5 is the code
         # dimension, so K runs below, at and above k), within 1e-13
         # relative; c is the zero code's value, and decode's value is
         # bitwise the reference's.  An own grid per snapshot takes one A each.
-        config = tangent_config("hyper", m, layers)
-        params = init_decoder(config, seed=m + 10 * layers)
+        config = tangent_config("hyper", layers)
+        params = init_decoder(config, seed=1 + 10 * layers)
         rng = np.random.default_rng(K)
         B, n = 3, 9
         X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
@@ -473,9 +467,9 @@ class TestJacobian:
         for Xb, (A, c) in zip(grids, maps):
             u, dU = hyper_tangents_forward(config, params, constant(np.zeros(5)),
                                            constant(np.eye(5)), Xb, fast=fast)
-            assert A.shape == (5, n * m) and c.shape == (n * m,)
+            assert A.shape == (5, n) and c.shape == (n,)
             assert c.data.tobytes() == u.data.reshape(-1).tobytes()
-            want = dU.data.reshape(5, n * m)
+            want = dU.data.reshape(5, n)
             assert np.abs(A.data - want).max() <= 1e-13 * np.abs(want).max()
         code_shapes = [(B, 5)] if batched_grid else [(5,), (B, 5)]
         for shape in code_shapes:
@@ -487,7 +481,7 @@ class TestJacobian:
                 got = np.stack([T[:, b] @ A.data for b, (A, _) in enumerate(maps)], axis=1)
             else:
                 got = T @ maps[0][0].data
-            got = got.reshape(K, *shape[:-1], n, m)
+            got = got.reshape(K, *shape[:-1], n, 1)
             assert dU.shape == got.shape
             assert np.abs(got - dU.data).max() <= 1e-13 * np.abs(dU.data).max()
 
@@ -500,21 +494,18 @@ class TestJacobian:
     def test_affine_decomposition_matches_decode(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, size=(9, 2))
-        for m in (1, 2):
-            config = DecoderConfig("hyper", latent_dim=4, layers=2, width=12, coord_dim=2,
-                                   out_channels=m, coord_lo=(-1.0, -1.0), coord_hi=(1.0, 1.0))
-            params = init_decoder(config, seed=4)
-            A, c = affine_decomposition(config, params, X)
-            assert A.shape == (4, 9 * m) and c.shape == (9 * m,)
-            zero = decode(config, params, constant(np.zeros(4)), X).data
-            assert c.data.tobytes() == zero.reshape(-1).tobytes()
-            batch = rng.normal(size=(5, 4))
-            via_affine = batch @ A.data + c.data
-            direct = decode(config, params, constant(batch), X).data.reshape(5, -1)
-            np.testing.assert_allclose(via_affine, direct, atol=1e-12)
-            # and the affine matrix is the code Jacobian, at any code
-            J = code_jacobian(config, params, constant(batch[0]), X).data
-            assert np.abs(A.data.T - J).max() <= 1e-13 * np.abs(J).max()
+        params = init_decoder(HYPER, seed=4)
+        A, c = affine_decomposition(HYPER, params, X)
+        assert A.shape == (4, 9) and c.shape == (9,)
+        zero = decode(HYPER, params, constant(np.zeros(4)), X).data
+        assert c.data.tobytes() == zero.reshape(-1).tobytes()
+        batch = rng.normal(size=(5, 4))
+        via_affine = batch @ A.data + c.data
+        direct = decode(HYPER, params, constant(batch), X).data.reshape(5, -1)
+        np.testing.assert_allclose(via_affine, direct, atol=1e-12)
+        # and the affine matrix is the code Jacobian, at any code
+        J = code_jacobian(HYPER, params, constant(batch[0]), X).data
+        assert np.abs(A.data.T - J).max() <= 1e-13 * np.abs(J).max()
 
     def test_affine_map_rows_follow_a_subset_of_the_grid_at_benchmark_size(self):
         # the exact-mode row contract the hyper forecast decode relies on:

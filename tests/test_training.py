@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from pderom import data, training
-from pderom.diffmath import NonFiniteError, Tensor
+from pderom.diffmath import NonFiniteError, SingularSystemError, Tensor
+from pderom.losses import DegenerateNormError
 from pderom.networks import DecoderConfig, DynamicsConfig
+from pderom.solvers import CFLError
 from pderom.training import TrainingConfig, adamw_init, adamw_step, decays_weight, lr_at, train
 
 from helpers import adamw_steps
@@ -80,6 +82,37 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
     rows = [int(r) for r in re.search(r"batch rows \[([\d, ]+)\]", str(err.value))
             .group(1).split(",")]
     assert 3 in rows and len(rows) <= 8
+
+
+def test_zero_snapshot_names_epoch_and_its_table_row(tiny):
+    bad = tiny.train[0].snapshots.copy()
+    bad[3] = 0.0  # snapshot row 3 of the table has no norm
+    ds = data.Dataset(tiny.spec, tiny.snapshot_dt, tiny.t_train, tiny.t_test,
+                      tiny.seed, train=[data.Trajectory(bad, tiny.train[0].beta)],
+                      test=[])
+    cfg = TrainingConfig(epochs=1, warmup_epochs=1, batch_size=8)
+    with pytest.raises(DegenerateNormError, match=r"label channel \((\d+), 0\) has near-zero "
+                                                  r"norm .* \(epoch 0, batch rows \[") as err:
+        train(ds, DEC, DYN, cfg)
+    msg = str(err.value)
+    place = int(re.search(r"channel \((\d+), 0\)", msg).group(1))  # in the batch
+    rows = [int(r) for r in re.search(r"batch rows \[([\d, ]+)\]", msg).group(1).split(",")]
+    assert rows[place] == 3
+
+
+@pytest.mark.parametrize("error", [
+    lambda: SingularSystemError((2,), 1, 0.0, 1e-10),
+    lambda: CFLError(1.5, 30.0),
+], ids=["singular", "cfl"])
+def test_step_errors_name_epoch_and_batch_rows(tiny, monkeypatch, error):
+    def batch_terms(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(training, "batch_terms", batch_terms)
+    cfg = TrainingConfig(epochs=1, warmup_epochs=0, batch_size=8)
+    with pytest.raises((SingularSystemError, CFLError),
+                       match=r"\(epoch 0, batch rows \[[\d, ]+\]\)$"):
+        train(tiny, DEC, DYN, cfg)
 
 
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("warmup_epochs", -1)])
