@@ -73,12 +73,12 @@ def tangent_config(arch, layers):
                          coord_lo=(0.0, 0.0), coord_hi=(1.0, 1.0))
 
 
-def check_siren_tangents_match_forward_mode(layers, batched_grid, K, fast):
+def check_siren_tangents_match_forward_mode(draw, layers, batched_grid, K, fast):
     """``decode`` of a ``DualBatch`` against the forward-mode reference:
     values bitwise, tangents within 1e-13 relative."""
     # K = 5 is the code dimension, so K runs below, at and above k
     config = tangent_config("siren", layers)
-    params = init_decoder(config, seed=1 + 10 * layers)
+    params = init_decoder(config, seed=draw + 10 * layers)
     rng = np.random.default_rng(K)
     B, n = 3, 9
     X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
@@ -429,8 +429,9 @@ class TestJacobian:
     @pytest.mark.parametrize("K", [1, 3, 5, 11])
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     @pytest.mark.parametrize("layers", [1, 3])
-    def test_siren_tangents_match_forward_mode(self, layers, batched_grid, K, fast):
-        check_siren_tangents_match_forward_mode(layers, batched_grid, K, fast)
+    @pytest.mark.parametrize("draw", [1, 2])  # two parameter draws per size
+    def test_siren_tangents_match_forward_mode(self, draw, layers, batched_grid, K, fast):
+        check_siren_tangents_match_forward_mode(draw, layers, batched_grid, K, fast)
 
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     def test_siren_tangent_rows_follow_a_permutation_of_the_points(self, batched_grid):
@@ -451,14 +452,15 @@ class TestJacobian:
     @pytest.mark.parametrize("K", [1, 3, 5, 11])
     @pytest.mark.parametrize("batched_grid", [False, True], ids=["shared", "own"])
     @pytest.mark.parametrize("layers", [1, 3])
-    def test_hyper_tangents_match_forward_mode(self, layers, batched_grid, K, fast):
+    @pytest.mark.parametrize("draw", [1, 2])  # two parameter draws per size
+    def test_hyper_tangents_match_forward_mode(self, draw, layers, batched_grid, K, fast):
         # A against the forward-mode tangents: along the k unit codes, and
         # as the map T @ A along K random directions (K = 5 is the code
         # dimension, so K runs below, at and above k), within 1e-13
         # relative; c is the zero code's value, and decode's value is
         # bitwise the reference's.  An own grid per snapshot takes one A each.
         config = tangent_config("hyper", layers)
-        params = init_decoder(config, seed=1 + 10 * layers)
+        params = init_decoder(config, seed=draw + 10 * layers)
         rng = np.random.default_rng(K)
         B, n = 3, 9
         X = rng.uniform(0.0, 1.0, size=(B, n, 2) if batched_grid else (n, 2))
