@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .networks import DecoderConfig, DynamicsConfig, param_shapes
-from .solvers import Grid, SolverError, SolverSpec, _is_integer, rollout
+from .solvers import Grid, SolverError, SolverSpec, _is_integer, _is_positive, rollout
 from .training import Model, TrainingConfig
 
 __all__ = [
@@ -60,7 +60,7 @@ class FormatError(Exception):
 
 @dataclass
 class Trajectory:
-    """One trajectory of scalar fields: ``snapshots`` must be (T+1, N, 1)."""
+    """One trajectory of scalar fields (T+1, N, 1) and its finite 1-D ``beta``."""
 
     snapshots: np.ndarray  # (T+1, N, 1), time-ordered
     beta: np.ndarray  # (p,), empty for unparameterized problems
@@ -68,6 +68,9 @@ class Trajectory:
     def __post_init__(self):
         if self.snapshots.ndim != 3 or self.snapshots.shape[2] != 1:
             raise ValueError(f"snapshots must be (T+1, N, 1), got {self.snapshots.shape}")
+        beta = np.asarray(self.beta)
+        if beta.ndim != 1 or beta.dtype.kind not in "fiu" or not np.isfinite(beta).all():
+            raise ValueError(f"beta must be a finite 1-D numeric array, got {self.beta!r}")
 
 
 @dataclass
@@ -79,8 +82,8 @@ class Dataset:
     Every train trajectory holds at least t_train + 1 snapshots and
     every test trajectory at least t_test + 1.  Every snapshot array has
     one row per grid point on axis 1 and one channel on axis 2 (see
-    :class:`Trajectory`); ``obs_indices``, when set, are unique grid
-    indices in [0, N).
+    :class:`Trajectory`), and every ``beta`` has one length across all
+    splits; ``obs_indices``, when set, are unique grid indices in [0, N).
     """
 
     spec: SolverSpec
@@ -100,10 +103,8 @@ class Dataset:
         if not 0 <= self.t_train <= self.t_test:
             raise ValueError(f"need 0 <= t_train <= t_test, got t_train = {self.t_train}, "
                              f"t_test = {self.t_test}")
-        dt = self.snapshot_dt
-        if isinstance(dt, bool) or not (isinstance(dt, (int, float, np.integer, np.floating))
-                                        and 0 < dt < np.inf):
-            raise ValueError(f"snapshot_dt must be positive and finite, got {dt!r}")
+        if not _is_positive(self.snapshot_dt):
+            raise ValueError(f"snapshot_dt must be positive and finite, got {self.snapshot_dt!r}")
         for split, horizon in (("train", "t_train"), ("test", "t_test")):
             need = getattr(self, horizon) + 1
             for i, traj in enumerate(getattr(self, split)):
@@ -117,6 +118,9 @@ class Dataset:
                     raise ValueError(
                         f"{split}[{i}] snapshots have {traj.snapshots.shape[1]} rows on "
                         f"axis 1, but the grid has {n} points")
+        sizes = {len(t.beta) for split in ("train", "test", "val") for t in getattr(self, split)}
+        if len(sizes) > 1:
+            raise ValueError(f"every trajectory needs a beta of one length, got {sorted(sizes)}")
         idx = self.obs_indices
         if idx is None:
             return

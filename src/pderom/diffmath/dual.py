@@ -5,10 +5,10 @@ a code and its tangent directions and returns one of the field and its
 directional derivatives: with one unit tangent per latent, the (k, N, 1)
 transposed Jacobian.  The decoder runs one reverse sweep and contracts
 it with the tangents, so no work beyond that last contraction grows
-with ``k``.  The tangents are ordinary tape
-tensors, so the training loss can differentiate through the Jacobian.
-The hyper decoder's Jacobian is the map of
-:func:`pderom.networks.affine_decomposition` instead.
+with ``k``.  The tangents are ordinary tape tensors, so the training
+loss can differentiate through the Jacobian.  A hyper decoder takes no
+:class:`DualBatch`: it is affine in the code, and its Jacobian is the
+``A`` of :func:`pderom.networks.affine_decomposition`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class SingularSystemError(DiffmathError):
     """
 
     def __init__(self, index: tuple, column: int, pivot: float, threshold: float):
-        where = f" at batch index {', '.join(map(str, index))}" if index else ""
+        where = f" at batch position {', '.join(map(str, index))}" if index else ""
         super().__init__(
             f"rank-deficient least-squares system{where}: |R[{column},{column}]| = "
             f"{pivot:.3e} <= {threshold:.3e}; column {column} is linearly "

@@ -514,8 +514,8 @@ def matmul(a, b, row_stable: bool = False) -> Tensor:
     ``b`` and enough rows the row products are split across the CPUs,
     which a gemm is not: on a 2-core VM with one BLAS thread, 1024 rows
     of (64, 64) took 438 us serial and 249 us split, against 175 us for
-    one gemm.  The decoders use that mode for their exact-equivariance
-    contract; hot loops keep the default.
+    one gemm.  Exact decoding uses it (each siren layer, the hyper map's
+    product per (code, point) pair); hot loops keep the default.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:

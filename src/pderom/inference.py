@@ -21,6 +21,7 @@ from .losses import field_rnmse
 from .networks import (
     DecoderConfig,
     DynamicsConfig,
+    _affine_field,
     _check_beta,
     affine_decomposition,
     decode,
@@ -70,24 +71,23 @@ def invert(config: DecoderConfig, params: dict, u0: np.ndarray, X: np.ndarray):
     do not interact).  Runs ``INVERSION_STEPS`` AdamW steps at
     ``INVERSION_LR``.  Returns ``(codes, final_loss)`` where codes is
     (k,) or (B, k) and final_loss the per-field reconstruction error at
-    the returned codes.  Before any step, ``ValueError`` names a NaN or
-    infinity in ``u0``, a ``u0`` with more than one channel, or an ``X``
+    the returned codes.  Before any step, ``ValueError`` names a ``u0``
+    with more than one channel, a NaN or infinity in ``u0``, or an ``X``
     that is not a finite (N, coord_dim) array; a :class:`NonFiniteError`
     names the inversion step.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     if u0.ndim not in (2, 3):
         raise ValueError(f"u0 must have shape (N, 1) or (B, N, 1), got {u0.shape}")
-    single = u0.ndim == 2
-    batch = u0[None] if single else u0
-    bad = np.argwhere(~np.isfinite(batch))
-    if len(bad):
-        field, row, channel = bad[0]
-        where = f"row {row}, channel {channel}" + ("" if single else f" of field {field}")
-        raise ValueError(f"u0 has a non-finite value at {where}: "
-                         f"{batch[field, row, channel]}")
     if u0.shape[-1] != 1:
         raise ValueError(f"u0 must have one channel on its last axis, got shape {u0.shape}")
+    single = u0.ndim == 2
+    batch = u0[None] if single else u0
+    bad = np.argwhere(~np.isfinite(batch[..., 0]))
+    if len(bad):
+        field, row = bad[0]
+        where = f"row {row}" + ("" if single else f" of field {field}")
+        raise ValueError(f"u0 has a non-finite value at {where}: {batch[field, row, 0]}")
     X = _check_grid("X", X, config.coord_dim, batch.shape[1])
     b = batch.shape[0]
     k = config.latent_dim
@@ -257,13 +257,12 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     inversion.  Inversion and integration run at the module's constants,
     see :func:`invert` and :func:`integrate`.
 
-    The final decode runs in exact (row-stable) mode.  A siren decodes
-    the times in blocks sized so that each hidden layer's array holds
-    about ``_DECODE_ELEMENTS`` values; the result is bitwise equal to
-    decoding every time at once, and a point's values do not depend on
-    the other query points.  A hyper decoder's product of the codes and
-    its affine map does not keep that: on 50 of the benchmark grid's
-    points, it differed from the full-grid forecast by up to 2.2e-16.
+    The final decode runs in exact (row-stable) mode, so a point's
+    values do not depend on the other query points.  A siren decodes the
+    times in blocks sized so that each hidden layer's array holds about
+    ``_DECODE_ELEMENTS`` values; the result is bitwise equal to decoding
+    every time at once.  A hyper decoder evaluates its affine map once
+    for all times, one product per (time, point) pair.
     """
     X = np.asarray(X)
     u0 = np.asarray(u0, dtype=np.float64)
@@ -285,10 +284,7 @@ def forecast(model: Model, u0: np.ndarray, X: np.ndarray, times,
     cfg = model.decoder_config
     with no_grad():
         if cfg.architecture == "hyper":
-            # one product for all times, exact mode; it does not keep
-            # decode's per-point contract (see the docstring)
-            A, c = affine_decomposition(cfg, dec_params, Xq)
-            flat = dm.add(dm.matmul(constant(codes), A, True), c)
+            flat = _affine_field(*affine_decomposition(cfg, dec_params, Xq), constant(codes), True)
             fields = dm.reshape(flat, (len(times), len(Xq), 1))
         else:
             # exact-mode rows do not depend on the block they are in

@@ -40,6 +40,7 @@ from .diffmath import DualBatch, Tensor, as_tensor, constant, no_grad, qr_lstsq,
 from .networks import (
     DecoderConfig,
     DynamicsConfig,
+    _affine_field,
     affine_decomposition,
     decode,
     dynamics_eval,
@@ -66,10 +67,9 @@ def _label_norms(label: np.ndarray) -> np.ndarray:
     norms = np.sqrt((label * label).sum(axis=-2))
     bad = norms < NORM_GUARD
     if bad.any():
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise DegenerateNormError(
-            f"label channel {where} has near-zero norm ({norms[where]:.3e})"
-        )
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at batch position {', '.join(map(str, first[:-1]))}" if first[:-1] else ""
+        raise DegenerateNormError(f"label{where} has near-zero norm ({norms[first]:.3e})")
     return norms
 
 
@@ -190,7 +190,7 @@ def batch_terms(dec_config: DecoderConfig, dec_params: dict,
     affine = None
     if dec_config.architecture == "hyper":
         affine = affine_decomposition(dec_config, dec_params, X_solver, fast=True)
-        u_flat = dm.add(dm.matmul(alpha_b, affine[0]), affine[1])  # (B, N)
+        u_flat = _affine_field(*affine, alpha_b, False)  # (B, N)
     else:
         predict = grid_decoder(dec_config, dec_params, X_solver, fast=True)
         if obs_indices is None:

@@ -23,8 +23,8 @@ N points is (N, 1).
   frequencies ``freq`` are trainable.  Because every layer is affine in
   ``alpha``, the whole decoder is an affine map of the code for a fixed
   grid; :func:`affine_decomposition` extracts that map, the value at
-  the zero code plus the code Jacobian from one reverse sweep, so
-  training and inversion can decode whole batches with a single matmul.
+  the zero code plus the code Jacobian from one reverse sweep, and
+  every hyper field is that map through one product (:func:`_affine_field`).
 
 Both Jacobians are tape tensors, so they stay differentiable in reverse
 mode (reverse-over-reverse).
@@ -244,8 +244,8 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
     hyper the affine map ``(A, c)`` of :func:`affine_decomposition`.  The
     returned function takes a code Tensor of shape (k,) or (B, k) and
     returns (N, 1) or (B, N, 1); it stays on the tape, so gradients reach
-    the code and, through the bound grid part, the parameters.  For
-    siren it is what :func:`decode` runs on a non-dual code, bit for bit.
+    the code and, through the bound grid part, the parameters.  It is
+    what :func:`decode` runs on a non-dual code, bit for bit.
 
     A siren's function takes an optional second argument ``rows``,
     shape (P,) for one code or (B, P) for a batch: the grid points to
@@ -259,13 +259,11 @@ def grid_decoder(config: DecoderConfig, params: dict, X: np.ndarray,
 
     if config.architecture == "hyper":
         A, c = affine_decomposition(config, params, X, fast=fast)
-        n = xn.shape[-2]
 
         def predict(code):
             shape = _check_code(config, code, xn)
             rows = code if len(shape) == 2 else dm.reshape(code, (1, shape[-1]))
-            flat = dm.add(dm.matmul(rows, A, rs), c)
-            return dm.reshape(flat, (*shape[:-1], n, 1))
+            return dm.reshape(_affine_field(A, c, rows, rs), (*shape[:-1], len(xn), 1))
 
         return predict
 
@@ -299,56 +297,44 @@ def decode(config: DecoderConfig, params: dict, alpha, X: np.ndarray,
     """Evaluate the decoder on every coordinate of ``X``.
 
     ``alpha`` is a Tensor of shape (k,) or (B, k), and ``X`` is (N, d)
-    physical coordinates shared by the batch, or (B, N, d) per-snapshot
-    grids, one per code; other code shapes raise ``ValueError``.  The
-    field is (N, 1) or (B, N, 1).  Rows of the output are computed
+    physical coordinates shared by the batch; a siren also takes (B, N, d)
+    per-snapshot grids, one per code.  Other shapes raise ``ValueError``.
+    The field is (N, 1) or (B, N, 1).  Rows of the output are computed
     independently; permuting ``X`` permutes the rows, exactly.
 
-    Exact mode computes every matmul one output row at a time (see
-    ``dm.matmul``'s ``row_stable``).  ``fast=True`` switches them to
+    Exact mode computes each output row, and each hyper value, on its own
+    (see ``dm.matmul``'s ``row_stable``).  ``fast=True`` switches them to
     single BLAS gemm calls: a few ulps of rounding may then depend on
     row position, which training and inversion loops accept for
     contractions 1.2-2.1x faster at width 64, by shape.
 
-    A siren runs :func:`grid_decoder`.  Given a ``DualBatch(alpha, T)``
+    A plain code runs :func:`grid_decoder`.  Given a ``DualBatch(alpha, T)``
     with tangents T of shape (K, *alpha.shape), a siren returns
     ``DualBatch(u, dU)``: the field and its K directional derivatives
     along T, see :func:`_decode_dual`; a hyper decoder's Jacobian is the
     ``A`` of :func:`affine_decomposition`.
     """
-    if isinstance(alpha, DualBatch):
-        if config.architecture == "hyper":
-            raise ValueError("decode takes no DualBatch for the hyper architecture: "
-                             "its code Jacobian is the A of affine_decomposition")
-        return _decode_dual(config, params, alpha, X, fast)
-    if config.architecture == "siren":
+    if not isinstance(alpha, DualBatch):
         return grid_decoder(config, params, X, fast)(alpha)
-    xn = _normalized_coords(config, X)
-    _check_code(config, alpha, xn)
-    return _hyper_value(config, params, alpha, xn, not fast)[0]
+    if config.architecture == "hyper":
+        raise ValueError("decode takes no DualBatch for the hyper architecture: "
+                         "its code Jacobian is the A of affine_decomposition")
+    return _decode_dual(config, params, alpha, X, fast)
 
 
-def _hyper_value(config: DecoderConfig, params: dict, alpha: Tensor,
-                 xn: np.ndarray, rs: bool):
-    """The hyper field on normalized coordinates, and each layer's trig.
-
-    Every layer computes ``z W + b + alpha Wm``: the code enters only
-    through the bias shift ``alpha Wm``.  Hidden layers then multiply by
-    their modulation ``[cos(xn freq^T), sin(xn freq^T)]``; the head
-    ``out`` stops at the affine part.
-    """
-    xn_t = constant(xn)
-    shape = alpha.shape
-    a_row = dm.reshape(alpha, (*shape[:-1], 1, shape[-1]))
-    z, trigs = xn_t, []
-    for name in [f"l{i}" for i in range(config.layers)] + ["out"]:
-        z = dm.add(dm.add(dm.matmul(z, params[f"{name}.W"], rs), params[f"{name}.b"]),
-                   dm.matmul(a_row, params[f"{name}.Wm"], rs))
-        if name != "out":
-            phase = dm.matmul(xn_t, dm.transpose(params[f"{name}.freq"]), rs)
-            trigs.append(dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1))
-            z = dm.mul(z, trigs[-1])
-    return z, trigs
+def _affine_field(A: Tensor, c: Tensor, codes: Tensor, exact: bool) -> Tensor:
+    """The hyper field ``codes @ A + c``, (B, N), of codes (B, k): one gemm
+    in fast mode; in exact mode one (1, k) x (k, 1) product per (code,
+    point) pair, a row-stable matmul of the codes as (B, 1, 1, k) with
+    ``A^T`` as (N, k, 1).  numpy picks the same kernel whatever the grid
+    or batch size only while both operands have unit stride along k,
+    which row-stable mode ensures."""
+    if not exact:
+        return dm.add(dm.matmul(codes, A), c)
+    k, n = A.shape
+    pairs = dm.matmul(dm.reshape(codes, (-1, 1, 1, k)),
+                      dm.reshape(dm.transpose(A), (n, k, 1)), True)
+    return dm.add(dm.reshape(pairs, (-1, n)), c)
 
 
 def _decode_dual(config: DecoderConfig, params: dict, alpha: DualBatch,
@@ -407,16 +393,16 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
     Returns ``(A, c)`` with ``A`` of shape (k, N) and ``c`` of shape
     (N,), both tape tensors.  Exact for the hyper architecture, whose
     layers are affine in the code; rejected for siren.  ``X`` is one
-    grid of shape (N, d).  Decoding a batch then costs one
-    (B, k) x (k, N) matmul instead of B network passes.
+    grid of shape (N, d).  :func:`_affine_field` evaluates the map: a
+    batch costs one (B, k) x (k, N) product instead of B network passes.
 
-    ``c`` is the value at the zero code, whose pass also gives each
-    layer's modulation ``trig``.  The code enters every layer only
-    through its bias shift ``alpha @ Wm``, so the code Jacobian ``A``
-    takes one reverse sweep: seed ``g = out.W^T`` and ``grad = out.Wm^T``,
-    then per layer from the last down ``h = g * trig``,
-    ``grad += h @ Wm^T`` and ``g = h @ W^T``.  ``A`` is the transpose
-    of the (N, k) ``grad``.
+    Every layer computes ``z W + b + alpha Wm``, and hidden layers multiply
+    it by their modulation ``trig = [cos(xn freq^T), sin(xn freq^T)]``, so
+    ``c`` is one pass without the code's shifts ``alpha Wm``.  The code
+    Jacobian ``A`` takes one reverse sweep: seed ``g = out.W^T`` and
+    ``grad = out.Wm^T``, then per layer from the last down ``h = g * trig``,
+    ``grad += h @ Wm^T`` and ``g = h @ W^T``.  ``A`` is the transpose of
+    the (N, k) ``grad``.
     """
     if config.architecture != "hyper":
         raise ValueError("affine decomposition requires the hyper architecture")
@@ -426,18 +412,23 @@ def affine_decomposition(config: DecoderConfig, params: dict, X: np.ndarray,
             f"affine decomposition needs one grid of shape (N, {config.coord_dim}), "
             f"got coordinates of shape {X.shape}"
         )
-    xn = _normalized_coords(config, X)
+    xn_t = constant(_normalized_coords(config, X))
     rs = not fast
-    k = config.latent_dim
-    u, trigs = _hyper_value(config, params, constant(np.zeros(k)), xn, rs)
+    z, trigs = xn_t, []
+    for i in range(config.layers):
+        z = dm.add(dm.matmul(z, params[f"l{i}.W"], rs), params[f"l{i}.b"])
+        phase = dm.matmul(xn_t, dm.transpose(params[f"l{i}.freq"]), rs)
+        trigs.append(dm.concat([dm.cos(phase), dm.sin(phase)], axis=-1))
+        z = dm.mul(z, trigs[-1])
+    u = dm.add(dm.matmul(z, params["out.W"], rs), params["out.b"])
     g = dm.reshape(params["out.W"], (1, config.width))
-    grad = dm.reshape(params["out.Wm"], (1, k))
+    grad = dm.reshape(params["out.Wm"], (1, config.latent_dim))
     for i in reversed(range(config.layers)):
         h = dm.mul(g, trigs[i])
         grad = dm.add(grad, dm.matmul(h, dm.transpose(params[f"l{i}.Wm"]), rs))
         if i:
             g = dm.matmul(h, dm.transpose(params[f"l{i}.W"]), rs)
-    return dm.transpose(grad), dm.reshape(u, (u.shape[0],))
+    return dm.transpose(grad), dm.reshape(u, (len(X),))
 
 
 def _check_beta(config: DynamicsConfig, beta, codes: int) -> None:

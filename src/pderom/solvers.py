@@ -58,7 +58,7 @@ class CFLError(SolverError):
     """Advective CFL condition violated by the current state."""
 
     def __init__(self, cfl: float, max_w: float, rows=()):
-        where = f" in batch rows {list(rows)}" if rows else ""
+        where = f" at batch positions {list(rows)}" if rows else ""
         super().__init__(
             f"CFL violation: dt * max|w| / h = {cfl:.3f} > 1 (max|w| = {max_w:.4g}){where}"
         )
@@ -73,6 +73,12 @@ def _is_integer(value) -> bool:
     seeding and array shapes reject them later and far from the config.
     """
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    """Whether ``value`` is a positive finite real number, not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and 0 < value < np.inf)
 
 
 @dataclass(frozen=True)
@@ -127,23 +133,27 @@ class Grid:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """A PDE, its grid, step size, and default physical parameters."""
+    """A PDE, its grid, step size, and physical parameters."""
 
     pde: str  # "diffusion2d" | "burgers1d"
     grid: Grid
     dt: float
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # kappa, or none: burgers' mu is beta
 
     def __post_init__(self):
         if self.pde not in ("diffusion2d", "burgers1d"):
             raise SolverError(f"unknown pde {self.pde!r}")
-        if not 0 < self.dt < np.inf:
+        if not _is_positive(self.dt):
             raise SolverError(f"dt must be positive and finite, got {self.dt!r}")
+        ndim, keys = (2, {"kappa"}) if self.pde == "diffusion2d" else (1, set())
+        if self.grid.ndim != ndim:
+            raise SolverError(f"{self.pde} needs a {ndim}-D grid")
+        if not isinstance(self.params, dict) or set(self.params) != keys:
+            raise SolverError(f"{self.pde} params must be a dict with the keys "
+                              f"{sorted(keys)}, got {self.params!r}")
         if self.pde == "diffusion2d":
-            if self.grid.ndim != 2:
-                raise SolverError("diffusion2d needs a 2-D grid")
-            kappa = self.params.get("kappa", 0.0)
-            if not 0 < kappa < np.inf:
+            kappa = self.params["kappa"]
+            if not _is_positive(kappa):
                 raise SolverError(f"diffusion2d needs a finite kappa > 0, got {kappa!r}")
             h = min(self.grid.spacing)
             limit = h * h / (4.0 * kappa)
@@ -151,15 +161,11 @@ class SolverSpec:
                 raise StabilityError(
                     f"FTCS unstable: dt = {self.dt} exceeds h^2/(4 kappa) = {limit:.5f}"
                 )
-        else:
-            if self.grid.ndim != 1:
-                raise SolverError("burgers1d needs a 1-D grid")
 
     def step(self, u, beta=None):
         if self.pde == "diffusion2d":
             return diffusion_step(u, self.params["kappa"], self.dt, self.grid)
-        mu = self.params.get("mu") if beta is None else beta
-        return burgers_step(u, mu, self.dt, self.grid)
+        return burgers_step(u, beta, self.dt, self.grid)
 
 
 def diffusion_step(u, kappa: float, dt: float, grid: Grid) -> Tensor:
@@ -217,7 +223,7 @@ def burgers_step(w, mu, dt: float, grid: Grid) -> Tensor:
     ``dt * max|w| / h > 1``.
     """
     if mu is None:
-        raise SolverError("burgers1d needs mu: pass beta or set params['mu']")
+        raise SolverError("burgers1d needs mu: pass beta")
     w = as_tensor(w)
     (n,) = grid.shape
     if w.shape[-1] != n:
@@ -276,7 +282,7 @@ def rollout(spec: SolverSpec, u0: np.ndarray, n_steps: int, save_every: int = 1,
     nothing.  A :class:`SolverError` or :class:`NonFiniteError` raised
     by a step propagates with its type and attributes, its message
     ending in ``(step N)``; a CFL violation also names the offending
-    batch rows (``CFLError.rows``).
+    batch positions (``CFLError.rows``).
     """
     if not (_is_integer(n_steps) and _is_integer(save_every)):
         raise ValueError(f"n_steps and save_every must be integers, "

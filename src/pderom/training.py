@@ -179,8 +179,9 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
     mean losses and elapsed time on the ``pderom.training`` logger at
     INFO; the logger's level switches it.
 
-    An error that a step raises names the epoch and the batch's rows of
-    the snapshot table (row ``trajectory * (t_train + 1) + time``): any
+    An error that a step raises ends in ``(epoch e, table rows [...])``,
+    the batch's rows of the snapshot table (``trajectory * (t_train + 1)
+    + time``), so its batch position i is the i-th row listed: any
     :class:`~pderom.diffmath.DiffmathError` (``NonFiniteError``,
     ``SingularSystemError``), :class:`~pderom.losses.DegenerateNormError`
     or :class:`~pderom.solvers.SolverError` (``CFLError``).
@@ -260,7 +261,7 @@ def train(dataset, decoder_config: DecoderConfig, dynamics_config: DynamicsConfi
                 loss = dm.add(dm.mul(rec, config.lam), dm.mul(dyn, 1.0 - config.lam))
                 grads = backward(loss, [joint[n] for n in names])
             except (DiffmathError, DegenerateNormError, SolverError) as err:
-                err.args = (f"{err} (epoch {epoch}, batch rows {rows.tolist()})",)
+                err.args = (f"{err} (epoch {epoch}, table rows {rows.tolist()})",)
                 raise
             joint, state = adamw_step(
                 joint, dict(zip(names, grads)), state, lr, WEIGHT_DECAY

@@ -130,9 +130,10 @@ def hyper_tangents_forward(config, params, alpha, T, X, fast=False):
     """Hyper field and code tangents in forward mode, one copy per tangent.
 
     The reference for ``affine_decomposition`` (``A`` is the tangent
-    along the unit codes, ``c`` the value at the zero code).  The value
-    restates the library's ops in its order, without running its code:
-    each layer is ``z W + b + alpha Wm``, and hidden layers multiply it by
+    along the unit codes, ``c`` the value at the zero code) and, to
+    rounding, for ``decode``'s value.  The value runs the network layer by layer
+    at the given code, without running the library's code: each layer is
+    ``z W + b + alpha Wm``, and hidden layers multiply it by
     ``[cos(xn freq^T), sin(xn freq^T)]``.  The code enters every layer
     through a (K, ..., 1, width) term ``T @ Wm`` of its bias shift, so a
     layer maps ``dz -> (dz @ W + T @ Wm) * trig`` and the head adds

@@ -184,6 +184,32 @@ class TestDatasetContents:
         with pytest.raises(FormatError, match=match):
             data.load_dataset(saved(tmp_path, ds))
 
+    # each used to load and fail in training (nan), or never
+    @pytest.mark.parametrize("beta", [np.array([np.nan]), np.array([[0.02]]),
+                                      np.array(["x"]), np.array([True])],
+                             ids=["nan", "2-d", "str", "bool"])
+    def test_beta_must_be_a_finite_numeric_vector(self, tmp_path, beta):
+        match = "beta must be a finite 1-D numeric array"
+        with pytest.raises(ValueError, match=match):
+            data.Trajectory(np.zeros((2, 4, 1)), beta)
+        if beta.dtype.kind == "f":  # what the container can hold
+            ds = small_dataset()
+            ds.train[0].beta = beta  # set past the check, then saved
+            with pytest.raises(FormatError, match=match):
+                data.load_dataset(saved(tmp_path, ds))
+
+    @pytest.mark.parametrize("split", ["train", "test", "val"])
+    def test_beta_has_one_length_across_splits(self, tmp_path, split):
+        ds = small_dataset()
+        other = [data.Trajectory(np.zeros((2, 4, 1)), np.array([0.02, 0.03]))]
+        match = r"every trajectory needs a beta of one length, got \[1, 2\]"
+        with pytest.raises(ValueError, match=match):
+            data.Dataset(ds.spec, ds.snapshot_dt, ds.t_train, ds.t_test, ds.seed,
+                         **{"train": ds.train, "test": ds.test, split: other})
+        setattr(ds, split, other)
+        with pytest.raises(FormatError, match=match):
+            data.load_dataset(saved(tmp_path, ds))
+
 
 class TestDatasetMetadata:
     # each used to load and fail later (in train or forecast), or never
@@ -454,6 +480,17 @@ class TestContainer:
         path, load = saved_container(tmp_path, kind)
         edit_keys(path, where, key, value)
         with pytest.raises(FormatError, match=match):
+            load(path)
+
+    # each used to load silently, or to fail with another error type
+    @pytest.mark.parametrize("params", [[], {"kappa": 2.0, "mu": 3.0},
+                                        {"kappa": 2.0, "junk": "x"}],
+                             ids=["list", "extra-mu", "extra-junk"])
+    def test_spec_params_must_hold_the_pde_keys(self, tmp_path, params):
+        path, load = saved_container(tmp_path, "dataset")
+        edit_keys(path, ["spec"], "params", params)
+        with pytest.raises(FormatError, match=r"diffusion2d params must be a dict with the "
+                                              r"keys \['kappa'\]"):
             load(path)
 
     # version 3 headers held five more training settings, version 4 headers

@@ -467,7 +467,7 @@ class TestQrLstsq:
         rng = np.random.default_rng(18)
         J = rng.normal(size=(2, 3, 10, 3))
         J[1, 2, :, 1] = -3.0 * J[1, 2, :, 0]
-        with pytest.raises(dm.SingularSystemError, match="batch index 1, 2") as err:
+        with pytest.raises(dm.SingularSystemError, match="batch position 1, 2") as err:
             qr_lstsq(dm.constant(J), dm.constant(np.ones((2, 3, 10))))
         assert err.value.index == (1, 2)
         assert err.value.column == 1

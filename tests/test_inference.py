@@ -40,9 +40,9 @@ def test_non_finite_field_names_the_inversion_step(monkeypatch):
 
 
 @pytest.mark.parametrize("shape,at,where", [
-    ((20, 1), (7, 0), "row 7, channel 0"),
-    ((20, 2), (3, 1), "row 3, channel 1"),
-    ((3, 20, 1), (1, 12, 0), "row 12, channel 0 of field 1"),
+    ((20, 1), (7, 0), "row 7"),
+    ((20, 2), (3, 1), None),  # the channel count is checked first
+    ((3, 20, 1), (1, 12, 0), "row 12 of field 1"),
 ], ids=["field", "channel", "batch"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_u0_is_rejected_before_the_grid_is_bound(monkeypatch, shape, at, where,
@@ -54,7 +54,9 @@ def test_non_finite_u0_is_rejected_before_the_grid_is_bound(monkeypatch, shape, 
     u0 = np.ones(shape)
     u0[at] = value
     u0[-1, -1] = np.nan  # a later bad value is not the one named
-    with pytest.raises(ValueError, match=rf"non-finite value at {where}: {value}$"):
+    match = ("u0 must have one channel" if where is None
+             else rf"non-finite value at {where}: {value}$")
+    with pytest.raises(ValueError, match=match):
         invert(HYPER, {}, u0, np.linspace(0.0, 1.0, 20)[:, None])
 
 
@@ -267,14 +269,22 @@ def test_blocked_siren_decode_is_bitwise_equal(trained, monkeypatch):
     assert blocked.tobytes() == whole.tobytes()
 
 
-def test_siren_forecast_rows_follow_a_permuted_query_grid(trained):
+def check_rows_follow_a_permuted_query_grid(trained, arch):
     # each query point's values do not depend on the other query points
     ds, models = trained
-    model = models["siren"][0]
+    model = models[arch][0]
     pick = np.random.default_rng(23).permutation(ds.spec.grid.num_points)[:50]
     full = _forecast(ds, model)
     sub = _forecast(ds, model, query_grid=ds.spec.grid.coords()[pick])
     assert sub.tobytes() == np.ascontiguousarray(full[:, pick]).tobytes()
+
+
+def test_siren_forecast_rows_follow_a_permuted_query_grid(trained):
+    check_rows_follow_a_permuted_query_grid(trained, "siren")
+
+
+def test_hyper_forecast_rows_follow_a_permuted_query_grid(trained):
+    check_rows_follow_a_permuted_query_grid(trained, "hyper")
 
 
 @pytest.mark.parametrize("arch", ["hyper", "siren"])

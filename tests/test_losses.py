@@ -40,7 +40,7 @@ HYPER = DecoderConfig("hyper", latent_dim=4, layers=2, width=12, coord_dim=2,
                       coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
 
 BURG_GRID = Grid((0.0,), (100.0,), (32,))
-BURG_SPEC = SolverSpec("burgers1d", BURG_GRID, 0.02, {"mu": 0.02})
+BURG_SPEC = SolverSpec("burgers1d", BURG_GRID, 0.02, {})
 SIREN = DecoderConfig("siren", latent_dim=2, layers=1, width=16, coord_dim=1,
                       coord_lo=(0.0,), coord_hi=(100.0,))
 
@@ -113,8 +113,12 @@ class TestFieldRnmse:
 
     def test_zero_norm_label_guard(self):
         u = np.zeros((10, 1))
-        with pytest.raises(DegenerateNormError, match="channel"):
+        with pytest.raises(DegenerateNormError, match=r"^label has near-zero norm"):
             field_rnmse(constant(np.ones((10, 1))), u)
+        batch = np.ones((3, 10, 1))
+        batch[1] = 0.0
+        with pytest.raises(DegenerateNormError, match=r"^label at batch position 1 has"):
+            field_rnmse(constant(np.ones((3, 10, 1))), batch)
 
     def test_batched_rows(self):
         rng = np.random.default_rng(4)

@@ -94,6 +94,14 @@ def check_siren_tangents_match_forward_mode(draw, layers, batched_grid, K, fast)
         assert err <= 1e-13
 
 
+def affine_product(codes, A, c, fast):
+    """``codes @ A + c`` in numpy: one gemm in fast mode, else one
+    (1, k) x (k, 1) product per (code, point) pair."""
+    if fast:
+        return np.atleast_2d(codes) @ A + c
+    return np.matmul(codes[..., None, None, :], A.T[..., None])[..., 0, 0] + c
+
+
 def reference_siren(params, config, alpha, X):
     """Straightforward numpy re-implementation of the sine decoder."""
     xn = config.normalize(X)
@@ -186,12 +194,12 @@ class TestDecode:
         with pytest.raises(ValueError, match="coordinates have dimension"):
             decode(config, params, constant(alpha), np.zeros((5, 3)))
 
-    # dual codes go to the siren alone: a hyper decode takes no DualBatch
+    # per-snapshot grids go to the siren alone: a hyper decoder takes one
+    # grid (test_hyper_decode_takes_one_grid) and no DualBatch
     @pytest.mark.parametrize("setup,code_shape,dual", [
-        pytest.param(arch, shape, dual, id=f"{arch}-{sid}-{'dual' if dual else 'plain'}")
-        for arch in ("siren", "hyper") for dual in (False, True)
-        for shape, sid in (((3,), "3"), ((1,), "1"), ((), "single"))
-        if not (dual and arch == "hyper")], indirect=["setup"])
+        pytest.param("siren", shape, dual, id=f"siren-{sid}-{'dual' if dual else 'plain'}")
+        for dual in (False, True)
+        for shape, sid in (((3,), "3"), ((1,), "1"), ((), "single"))], indirect=["setup"])
     def test_code_batch_must_match_per_snapshot_grids(self, setup, code_shape, dual):
         config, params, X, _ = setup
         k = config.latent_dim
@@ -202,6 +210,16 @@ class TestDecode:
         shapes = rf"\({', '.join(map(str, (*code_shape, k)))},?\).*\(2, 5, 2\)"
         with pytest.raises(ValueError, match=shapes):
             decode(config, params, alpha, grids)
+
+    @pytest.mark.parametrize("code_shape", [(2, 4), (4,)], ids=["batch", "single"])
+    def test_hyper_decode_takes_one_grid(self, code_shape):
+        # the affine map belongs to one grid, so per-snapshot grids raise
+        params = init_decoder(HYPER, seed=4)
+        grids = np.zeros((2, 5, 2))
+        with pytest.raises(ValueError, match=r"one grid of shape \(N, 2\).*\(2, 5, 2\)"):
+            decode(HYPER, params, constant(np.zeros(code_shape)), grids)
+        with pytest.raises(ValueError, match=r"one grid of shape \(N, 2\).*\(2, 5, 2\)"):
+            grid_decoder(HYPER, params, grids)
 
     @pytest.mark.parametrize("arch", ["siren", "hyper"])
     def test_each_point_alone_matches_full_grid_at_benchmark_size(self, arch):
@@ -234,11 +252,7 @@ class TestGridDecoder:
             got = predict(constant(code)).data
             want = decode(config, params, constant(code), X, fast=fast).data
             assert got.shape == want.shape
-            if config.architecture == "siren":
-                np.testing.assert_array_equal(got, want)
-            else:
-                # the affine map sums the layers in another order
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("setup", ["siren"], indirect=True)
     def test_rows_equal_the_full_decode_gathered(self, setup):
@@ -457,8 +471,10 @@ class TestJacobian:
         # A against the forward-mode tangents: along the k unit codes, and
         # as the map T @ A along K random directions (K = 5 is the code
         # dimension, so K runs below, at and above k), within 1e-13
-        # relative; c is the zero code's value, and decode's value is
-        # bitwise the reference's.  An own grid per snapshot takes one A each.
+        # relative; c is the zero code's value.  decode's value is bitwise
+        # the map's product restated in numpy, and within 1e-13 relative
+        # of the forward value.  An own grid per snapshot takes one map
+        # each, and each snapshot decodes on its own grid.
         config = tangent_config("hyper", layers)
         params = init_decoder(config, seed=draw + 10 * layers)
         rng = np.random.default_rng(K)
@@ -475,17 +491,24 @@ class TestJacobian:
             assert np.abs(A.data - want).max() <= 1e-13 * np.abs(want).max()
         code_shapes = [(B, 5)] if batched_grid else [(5,), (B, 5)]
         for shape in code_shapes:
-            alpha = constant(rng.normal(size=shape) * 0.4)
+            alpha = rng.normal(size=shape) * 0.4
             T = rng.normal(size=(K, *shape))
-            u, dU = hyper_tangents_forward(config, params, alpha, constant(T), X, fast=fast)
-            assert decode(config, params, alpha, X, fast=fast).data.tobytes() == u.data.tobytes()
+            u, dU = hyper_tangents_forward(config, params, constant(alpha), constant(T), X,
+                                           fast=fast)
+            pairs = list(zip(alpha, grids, maps)) if batched_grid else [(alpha, X, maps[0])]
+            got = np.stack([decode(config, params, constant(a), Xb, fast=fast).data
+                            for a, Xb, _ in pairs]).reshape(u.shape)
+            want = np.stack([affine_product(a, A.data, c.data, fast)
+                             for a, _, (A, c) in pairs]).reshape(u.shape)
+            assert got.tobytes() == want.tobytes()
+            assert np.abs(got - u.data).max() <= 1e-13 * np.abs(u.data).max()
             if batched_grid:
-                got = np.stack([T[:, b] @ A.data for b, (A, _) in enumerate(maps)], axis=1)
+                tangents = np.stack([T[:, b] @ A.data for b, (A, _) in enumerate(maps)], axis=1)
             else:
-                got = T @ maps[0][0].data
-            got = got.reshape(K, *shape[:-1], n, 1)
-            assert dU.shape == got.shape
-            assert np.abs(got - dU.data).max() <= 1e-13 * np.abs(dU.data).max()
+                tangents = T @ maps[0][0].data
+            tangents = tangents.reshape(K, *shape[:-1], n, 1)
+            assert dU.shape == tangents.shape
+            assert np.abs(tangents - dU.data).max() <= 1e-13 * np.abs(dU.data).max()
 
     def test_hyper_decode_takes_no_dual_batch(self):
         params = init_decoder(HYPER, seed=4)
@@ -494,17 +517,17 @@ class TestJacobian:
             decode(HYPER, params, dual, np.zeros((5, 2)))
 
     def test_affine_decomposition_matches_decode(self):
+        # against the layer-by-layer numpy reference: decode is the map
         rng = np.random.default_rng(12)
         X = rng.uniform(-1, 1, size=(9, 2))
         params = init_decoder(HYPER, seed=4)
         A, c = affine_decomposition(HYPER, params, X)
         assert A.shape == (4, 9) and c.shape == (9,)
-        zero = decode(HYPER, params, constant(np.zeros(4)), X).data
-        assert c.data.tobytes() == zero.reshape(-1).tobytes()
+        zero = reference_hyper(params, HYPER, np.zeros(4), X).reshape(-1)
+        np.testing.assert_allclose(c.data, zero, rtol=0, atol=1e-12)
         batch = rng.normal(size=(5, 4))
-        via_affine = batch @ A.data + c.data
-        direct = decode(HYPER, params, constant(batch), X).data.reshape(5, -1)
-        np.testing.assert_allclose(via_affine, direct, atol=1e-12)
+        direct = np.stack([reference_hyper(params, HYPER, a, X).reshape(-1) for a in batch])
+        np.testing.assert_allclose(batch @ A.data + c.data, direct, rtol=0, atol=1e-12)
         # and the affine matrix is the code Jacobian, at any code
         J = code_jacobian(HYPER, params, constant(batch[0]), X).data
         assert np.abs(A.data.T - J).max() <= 1e-13 * np.abs(J).max()
@@ -521,6 +544,25 @@ class TestJacobian:
         A_sub, c_sub = affine_decomposition(config, params, X[pick])
         assert A_sub.data.tobytes() == np.ascontiguousarray(A.data[:, pick]).tobytes()
         assert c_sub.data.tobytes() == c.data[pick].tobytes()
+
+    def test_exact_product_values_follow_the_grid_and_the_batch_at_benchmark_size(self):
+        # the benchmark's decoder on the diffusion grid with a forecast's
+        # 201 codes: a subset of the grid, each code alone and the codes
+        # reversed all give the full product's values, bitwise
+        config = DecoderConfig("hyper", latent_dim=8, layers=3, width=64, coord_dim=2,
+                               coord_lo=(-20.0, -20.0), coord_hi=(20.0, 20.0))
+        params = init_decoder(config, seed=3)
+        X = Grid((-20.0, -20.0), (20.0, 20.0), (42, 42)).coords()
+        rng = np.random.default_rng(29)
+        codes = rng.normal(size=(201, 8)) * 0.5
+        predict = grid_decoder(config, params, X)
+        full = predict(constant(codes)).data
+        pick = rng.permutation(len(X))[:50]
+        sub = grid_decoder(config, params, X[pick])(constant(codes)).data
+        assert sub.tobytes() == np.ascontiguousarray(full[:, pick]).tobytes()
+        for code, want in zip(codes, full):
+            assert predict(constant(code)).data.tobytes() == want.tobytes()
+        assert predict(constant(codes[::-1])).data.tobytes() == full[::-1].tobytes()
 
     def test_affine_decomposition_rejects_per_snapshot_grids(self):
         params = init_decoder(HYPER, seed=4)

@@ -22,7 +22,7 @@ from helpers import fd_check_params, ftcs_step, godunov_step, heat_kernel_2d
 DIFF_GRID = Grid(lo=(-20.0, -20.0), hi=(20.0, 20.0), shape=(42, 42))
 DIFF_SPEC = SolverSpec("diffusion2d", DIFF_GRID, dt=0.1, params={"kappa": 2.0})
 BURG_GRID = Grid(lo=(0.0,), hi=(100.0,), shape=(256,))
-BURG_SPEC = SolverSpec("burgers1d", BURG_GRID, dt=0.025, params={"mu": 0.02})
+BURG_SPEC = SolverSpec("burgers1d", BURG_GRID, dt=0.025, params={})
 
 
 def gaussian_blob(grid, sigma, amp, center=(0.0, 0.0)):
@@ -156,8 +156,9 @@ class TestBurgersStep:
         def run(nx, t_end=1.0):
             g = Grid((0.0,), (100.0,), (nx,))
             n = int(round(t_end / (0.2 * g.spacing[0])))
-            spec = SolverSpec("burgers1d", g, dt=t_end / n, params={"mu": 0.02})
-            return rollout(spec, np.ones(nx), n, save_every=n)[-1], g.coords().ravel()
+            spec = SolverSpec("burgers1d", g, dt=t_end / n, params={})
+            return (rollout(spec, np.ones(nx), n, save_every=n, beta=0.02)[-1],
+                    g.coords().ravel())
 
         w256, x256 = run(256)
         w512, x512 = run(512)
@@ -201,7 +202,7 @@ class TestBurgersStep:
         assert err.value.max_w == 60.0
 
     def test_missing_mu_raises_solver_error(self):
-        # a spec without params["mu"] and no beta: the source is undefined
+        # a burgers spec takes mu from beta alone: without it the source is undefined
         spec = SolverSpec("burgers1d", BURG_GRID, dt=0.025, params={})
         with pytest.raises(SolverError, match="needs mu"):
             time_derivative(spec, constant(np.ones(256)))
@@ -228,7 +229,7 @@ class TestTimeDerivative:
         np.testing.assert_array_equal(rate.data, np.zeros((42, 42)))
 
     def test_burgers_source_recovery(self):
-        rate = time_derivative(BURG_SPEC, constant(np.zeros(256)))
+        rate = time_derivative(BURG_SPEC, constant(np.zeros(256)), 0.02)
         x = BURG_GRID.coords().ravel()
         expected = 0.02 * np.exp(0.02 * x)
         np.testing.assert_allclose(rate.data[1:], expected[1:], rtol=1e-12)
@@ -243,11 +244,11 @@ class TestTimeDerivative:
         # scalar functional of S[u] vs finite differences
         rng = np.random.default_rng(7)
         g = Grid((0.0,), (10.0,), (16,))
-        spec = SolverSpec("burgers1d", g, dt=0.02, params={"mu": 0.05})
+        spec = SolverSpec("burgers1d", g, dt=0.02, params={})
         weights = rng.normal(size=16)
 
         def loss(p):
-            return dm.sum_(dm.mul(time_derivative(spec, p["u"]), constant(weights)))
+            return dm.sum_(dm.mul(time_derivative(spec, p["u"], 0.05), constant(weights)))
 
         assert fd_check_params(loss, {"u": constant(1.0 + 0.3 * rng.random(16))}) <= 1e-5
 
@@ -279,20 +280,20 @@ class TestRollout:
 
     def test_step_error_carries_index(self):
         g = Grid((0.0,), (100.0,), (64,))
-        spec = SolverSpec("burgers1d", g, dt=0.5, params={"mu": 0.05})
+        spec = SolverSpec("burgers1d", g, dt=0.5, params={})
         with pytest.raises(SolverError, match=r"step \d+"):
-            rollout(spec, np.full(64, 2.0), n_steps=400)
+            rollout(spec, np.full(64, 2.0), n_steps=400, beta=0.05)
 
     def test_batched_error_names_step_and_row(self):
         g = Grid((0.0,), (100.0,), (64,))
         spec = SolverSpec("burgers1d", g, dt=0.5, params={})
         w0 = np.stack([np.ones(64), np.full(64, 3.0)])  # only row 1 breaks CFL
-        with pytest.raises(CFLError, match=r"in batch rows \[1\] \(step 19\)$") as err:
+        with pytest.raises(CFLError, match=r"at batch positions \[1\] \(step 19\)$") as err:
             rollout(spec, w0, n_steps=50, beta=np.zeros((2, 1)))
         assert err.value.rows == [1]
         with pytest.raises(CFLError, match=r"\(step 19\)$") as alone:
             rollout(spec, w0[1], n_steps=50, beta=0.0)
-        assert "batch rows" not in str(alone.value)
+        assert "batch positions" not in str(alone.value)
         rollout(spec, w0[0], n_steps=50, beta=0.0)
 
     def test_non_finite_step_is_named(self):
@@ -357,10 +358,10 @@ class TestGrid:
 
 class TestSolverSpec:
     @pytest.mark.parametrize("pde,grid,params", [
-        ("burgers1d", BURG_GRID, {"mu": 0.02}),
+        ("burgers1d", BURG_GRID, {}),
         ("diffusion2d", DIFF_GRID, {"kappa": 2.0}),
     ], ids=["burgers", "diffusion"])
-    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, True])
     def test_dt_must_be_positive_and_finite(self, pde, grid, params, dt):
         with pytest.raises(SolverError, match="dt must be positive and finite"):
             SolverSpec(pde, grid, dt, params)
@@ -369,3 +370,23 @@ class TestSolverSpec:
         # a NaN kappa made the FTCS limit NaN, which no dt exceeds
         with pytest.raises(SolverError, match="finite kappa"):
             SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": np.nan})
+
+    @pytest.mark.parametrize("pde,params", [
+        ("diffusion2d", {"kappa": 2.0, "mu": 3.0}),
+        ("diffusion2d", {"kappa": 2.0, "junk": "x"}),
+        ("diffusion2d", {}),
+        ("diffusion2d", (("kappa", 2.0),)),
+        ("burgers1d", {"mu": "x"}),
+        ("burgers1d", {"mu": np.nan}),
+        ("burgers1d", []),
+    ], ids=["extra-mu", "extra-junk", "no-kappa", "pairs", "mu-str", "mu-nan", "list"])
+    def test_params_hold_exactly_the_keys_the_pde_reads(self, pde, params):
+        # each used to construct and fail later (in a step), or never
+        grid, dt = (DIFF_GRID, 0.1) if pde == "diffusion2d" else (BURG_GRID, 0.025)
+        with pytest.raises(SolverError, match=f"{pde} params must be a dict with the keys"):
+            SolverSpec(pde, grid, dt, params)
+
+    @pytest.mark.parametrize("kappa", ["2.0", True, 0.0])
+    def test_kappa_must_be_a_positive_number(self, kappa):
+        with pytest.raises(SolverError, match="finite kappa"):
+            SolverSpec("diffusion2d", DIFF_GRID, 0.1, {"kappa": kappa})

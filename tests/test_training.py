@@ -76,10 +76,10 @@ def test_non_finite_snapshot_names_epoch_and_batch_rows(tiny):
                       tiny.seed, train=[data.Trajectory(bad, tiny.train[0].beta)],
                       test=[])
     cfg = TrainingConfig(epochs=1, warmup_epochs=1, batch_size=8)
-    with pytest.raises(NonFiniteError, match=r"\(epoch 0, batch rows \[") as err:
+    with pytest.raises(NonFiniteError, match=r"\(epoch 0, table rows \[") as err:
         train(ds, DEC, DYN, cfg)
     assert err.value.op == "sub"
-    rows = [int(r) for r in re.search(r"batch rows \[([\d, ]+)\]", str(err.value))
+    rows = [int(r) for r in re.search(r"table rows \[([\d, ]+)\]", str(err.value))
             .group(1).split(",")]
     assert 3 in rows and len(rows) <= 8
 
@@ -91,12 +91,12 @@ def test_zero_snapshot_names_epoch_and_its_table_row(tiny):
                       tiny.seed, train=[data.Trajectory(bad, tiny.train[0].beta)],
                       test=[])
     cfg = TrainingConfig(epochs=1, warmup_epochs=1, batch_size=8)
-    with pytest.raises(DegenerateNormError, match=r"label channel \((\d+), 0\) has near-zero "
-                                                  r"norm .* \(epoch 0, batch rows \[") as err:
+    with pytest.raises(DegenerateNormError, match=r"label at batch position \d+ has near-zero "
+                                                  r"norm .* \(epoch 0, table rows \[") as err:
         train(ds, DEC, DYN, cfg)
     msg = str(err.value)
-    place = int(re.search(r"channel \((\d+), 0\)", msg).group(1))  # in the batch
-    rows = [int(r) for r in re.search(r"batch rows \[([\d, ]+)\]", msg).group(1).split(",")]
+    place = int(re.search(r"batch position (\d+)", msg).group(1))
+    rows = [int(r) for r in re.search(r"table rows \[([\d, ]+)\]", msg).group(1).split(",")]
     assert rows[place] == 3
 
 
@@ -111,8 +111,34 @@ def test_step_errors_name_epoch_and_batch_rows(tiny, monkeypatch, error):
     monkeypatch.setattr(training, "batch_terms", batch_terms)
     cfg = TrainingConfig(epochs=1, warmup_epochs=0, batch_size=8)
     with pytest.raises((SingularSystemError, CFLError),
-                       match=r"\(epoch 0, batch rows \[[\d, ]+\]\)$"):
+                       match=r"\(epoch 0, table rows \[[\d, ]+\]\)$"):
         train(tiny, DEC, DYN, cfg)
+
+
+def test_error_positions_are_batch_positions_and_table_rows(tiny, monkeypatch):
+    # a step's error names a place in the batch as a batch position and
+    # the batch's snapshots as table rows; "batch rows" meant either
+    cfg = TrainingConfig(epochs=1, warmup_epochs=0, batch_size=8)
+    bad = tiny.train[0].snapshots.copy()
+    bad[3] = 0.0
+    zeroed = data.Dataset(tiny.spec, tiny.snapshot_dt, tiny.t_train, tiny.t_test, tiny.seed,
+                          train=[data.Trajectory(bad, tiny.train[0].beta)], test=[])
+    messages = []
+    with pytest.raises(DegenerateNormError) as err:
+        train(zeroed, DEC, DYN, cfg)
+    messages.append(str(err.value))
+    for error in (SingularSystemError((2,), 1, 0.0, 1e-10), CFLError(1.5, 30.0, [2])):
+        def batch_terms(*args, error=error, **kwargs):
+            raise error
+
+        monkeypatch.setattr(training, "batch_terms", batch_terms)
+        with pytest.raises(type(error)) as err:
+            train(tiny, DEC, DYN, cfg)
+        messages.append(str(err.value))
+    for msg in messages:
+        assert "batch rows" not in msg
+        assert re.search(r" at batch positions? \[?\d+\]?[ :].*\(epoch 0, table rows "
+                         r"\[[\d, ]+\]\)$", msg), msg
 
 
 @pytest.mark.parametrize("field,value", [("epochs", 0), ("warmup_epochs", -1)])
